@@ -206,7 +206,8 @@ class CountSession:
 
     Only the final dense layer may change during a session (via the
     amendment fine-tune); current_count may be 0 even though the network
-    can only express 1..5.
+    can only express 1..5, and may not exceed 5, so that a door event
+    moves it by at most one.
     """
 
     network: Network
@@ -217,8 +218,8 @@ class CountSession:
     event_log: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.current_count < 0:
-            raise ValueError("current_count must be >= 0")
+        if not 0 <= self.current_count <= N_CLASSES:
+            raise ValueError(f"current_count must be in 0..{N_CLASSES}")
         if self.finetune_lr <= 0 or self.finetune_steps < 1:
             raise ValueError("fine-tune settings must be positive")
 

@@ -118,21 +118,27 @@ def _log_densities(model: GaussianHmm, x: np.ndarray) -> np.ndarray:
 
 
 def _scaled_forward(model, logb):
-    """Scaled forward pass; returns (alpha, per-step log scale, total loglik)."""
+    """Scaled forward pass; returns (alpha, per-step log scale, total loglik).
+
+    Each step is formed in log space, log(predicted mass) + logb[t], and
+    shifted by its own maximum before exponentiating, so the largest term
+    is exactly 1.  A state with zero predicted mass (an exact zero in the
+    initial distribution or transition matrix) then cannot leave only
+    underflowed densities behind and zero the normaliser.
+    """
     t_len, s = logb.shape
-    shift = logb.max(axis=1)
-    b = np.exp(logb - shift[:, None])
     alpha = np.empty((t_len, s))
     logc = np.empty(t_len)
-    a = model.initial * b[0]
-    total = a.sum()
-    alpha[0] = a / total
-    logc[0] = np.log(total) + shift[0]
-    for t in range(1, t_len):
-        a = (alpha[t - 1] @ model.transition) * b[t]
-        total = a.sum()
-        alpha[t] = a / total
-        logc[t] = np.log(total) + shift[t]
+    predicted = model.initial
+    with np.errstate(divide="ignore"):
+        for t in range(t_len):
+            log_a = np.log(predicted) + logb[t]
+            shift = log_a.max()
+            a = np.exp(log_a - shift)
+            total = a.sum()
+            alpha[t] = a / total
+            logc[t] = np.log(total) + shift
+            predicted = alpha[t] @ model.transition
     return alpha, logc, float(logc.sum())
 
 

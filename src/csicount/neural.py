@@ -20,6 +20,12 @@ Counting architecture (sequence input, window_len x 360):
 whose block output shapes on a 200 x 360 window are 200x64, 98x30x6,
 32x10x10, 3200, 1000, 200, 5.  The fully-connected baseline takes the
 per-column window means (a 360-vector) through dense 300 -> 100 -> 5.
+
+Convolutions are lowered to matrix products by row bands rather than
+im2col patches: each output row reads one contiguous copy of the kh input
+rows under it, so the cached lowering is kh * w * in values per output row
+(about 32 MB for the 200 x 64 conv of the counting network at batch 64)
+instead of kh * kw * in per output pixel (about 150 MB).  See Conv2d.
 """
 
 from __future__ import annotations
@@ -63,6 +69,11 @@ class Layer:
     def params(self) -> list:
         """[(name, value, grad)] with grads accumulated in place."""
         return []
+
+    @property
+    def n_params(self) -> int:
+        """Parameter count implied by the constructor fields alone."""
+        return 0
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -163,6 +174,10 @@ class Lstm(Layer):
     def params(self):
         return [("W", self.W, self.dW), ("U", self.U, self.dU), ("b", self.b, self.db)]
 
+    @property
+    def n_params(self):
+        return 4 * self.cells * (self.in_dim + self.cells + 1)
+
     def descriptor(self):
         return {"kind": "lstm", "in_dim": self.in_dim, "cells": self.cells}
 
@@ -173,7 +188,7 @@ class Dropout(Layer):
     trace_point = False
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
+        if not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self._rng = None
@@ -220,6 +235,19 @@ class Conv2d(Layer):
 
     Input (batch, h, w, in_channels); filters (kh, kw, in, out) applied at
     the given stride in both directions.
+
+    The convolution is lowered by row bands: the kh input rows under each
+    output row are copied into one contiguous row of a
+    (batch * ho, kh * w * in) matrix, which is multiplied by a banded
+    (kh * w * in, wo * out) filter matrix whose column block j holds W at
+    input columns j * stride .. j * stride + kw - 1 and zeros elsewhere.
+    The band is rebuilt from W on every call.  Backward is two matrix
+    products: rows^T dz gives the band gradient, whose kw diagonals are
+    summed into dW, and dz band^T gives the row gradient, added back into
+    dx with kh strided row adds.  Between forward and backward the layer
+    holds the row matrix (8 * batch * ho * kh * w * in bytes, about 32 MB
+    for conv1 of the counting network at batch 64) and a reference to its
+    own output, from which the ReLU mask is read.
     """
 
     def __init__(self, in_channels, out_channels, kh, kw, stride=1, activation="relu"):
@@ -239,49 +267,60 @@ class Conv2d(Layer):
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
+    def _diagonals(self, wo: int):
+        """For each kernel column dj, the (input column, output column)
+        pairs of the (kh, w, in, wo, out) band that hold W[:, dj]."""
+        cols = np.arange(wo)
+        return [(cols * self.stride + dj, cols) for dj in range(self.kw)]
+
     def forward(self, x, training):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise self._bad_shape(x, f"(batch, h, w, {self.in_channels})")
         b, h, w, c = x.shape
         if h < self.kh or w < self.kw:
             raise self._bad_shape(x, f"at least {self.kh} x {self.kw} spatially")
-        s = self.stride
+        s, f = self.stride, self.out_channels
         ho = (h - self.kh) // s + 1
         wo = (w - self.kw) // s + 1
-        sw = sliding_window_view(x, (self.kh, self.kw), axis=(1, 2))[:, ::s, ::s]
-        patches = np.ascontiguousarray(sw.transpose(0, 1, 2, 4, 5, 3)).reshape(
-            b * ho * wo, self.kh * self.kw * c
+        bands = sliding_window_view(x, self.kh, axis=1)[:, ::s]  # (b, ho, w, c, kh)
+        rows = np.ascontiguousarray(bands.transpose(0, 1, 4, 2, 3)).reshape(
+            b * ho, self.kh * w * c
         )
-        z = patches @ self.W.reshape(-1, self.out_channels) + self.b
-        z = z.reshape(b, ho, wo, self.out_channels)
+        band = np.zeros((self.kh, w, c, wo, f))
+        for dj, (wi, wj) in enumerate(self._diagonals(wo)):
+            band[:, wi, :, wj, :] = self.W[:, dj]
+        out = rows @ band.reshape(self.kh * w * c, wo * f)
+        out += np.tile(self.b, wo)
         if self.activation == "relu":
-            mask = z > 0
-            out = np.where(mask, z, 0.0)
-        else:
-            mask = None
-            out = z
-        self._cache = (patches, x.shape, mask)
+            np.maximum(out, 0.0, out=out)
+        out = out.reshape(b, ho, wo, f)
+        self._cache = (rows, band, x.shape, out)
         return out
 
     def backward(self, dout):
-        patches, x_shape, mask = self._cache
+        rows, band, x_shape, out = self._cache
         b, h, w, c = x_shape
         _, ho, wo, f = dout.shape
-        s = self.stride
-        dz = dout * mask if mask is not None else dout
-        dz_flat = dz.reshape(b * ho * wo, f)
-        self.dW += (patches.T @ dz_flat).reshape(self.W.shape)
-        self.db += dz_flat.sum(axis=0)
+        s, kh = self.stride, self.kh
+        dz = dout * (out > 0) if self.activation == "relu" else dout
+        dz_flat = dz.reshape(b * ho, wo * f)
+        dband = (rows.T @ dz_flat).reshape(band.shape)
+        for dj, (wi, wj) in enumerate(self._diagonals(wo)):
+            self.dW[:, dj] += dband[:, wi, :, wj, :].sum(axis=0)
+        self.db += dz_flat.sum(axis=0).reshape(wo, f).sum(axis=0)
+        drows = (dz_flat @ band.reshape(kh * w * c, wo * f).T).reshape(b, ho, kh, w, c)
         dx = np.zeros(x_shape)
-        for di in range(self.kh):
-            for dj in range(self.kw):
-                contrib = dz @ self.W[di, dj].T  # (b, ho, wo, c)
-                dx[:, di : di + s * ho : s, dj : dj + s * wo : s, :] += contrib
+        for di in range(kh):
+            dx[:, di : di + s * ho : s] += drows[:, :, di]
         self._cache = None
         return dx
 
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
+
+    @property
+    def n_params(self):
+        return (self.kh * self.kw * self.in_channels + 1) * self.out_channels
 
     def descriptor(self):
         return {
@@ -298,8 +337,10 @@ class Conv2d(Layer):
 class MaxPool2d(Layer):
     """Non-overlapping max pooling (stride = window size).
 
-    Requires spatial dimensions divisible by the size; gradient routes to
-    the first maximal element of each window.
+    Requires spatial dimensions divisible by the size.  Forward folds the
+    size * size strided slices of the input with np.maximum; backward
+    routes each gradient to the first maximal element of its window in
+    row-major window order, found by one equality pass per slice.
     """
 
     def __init__(self, size: int = 2):
@@ -307,35 +348,37 @@ class MaxPool2d(Layer):
             raise ValueError("pool size must be >= 1")
         self.size = size
 
+    def _slices(self):
+        s = self.size
+        return [np.s_[:, p::s, q::s] for p in range(s) for q in range(s)]
+
     def forward(self, x, training):
         if x.ndim != 4:
             raise self._bad_shape(x, "(batch, h, w, channels)")
-        b, h, w, c = x.shape
+        _, h, w, _ = x.shape
         s = self.size
         if h % s or w % s:
             raise self._bad_shape(x, f"spatial dims divisible by {s}")
-        ho, wo = h // s, w // s
-        xr = (
-            x.reshape(b, ho, s, wo, s, c)
-            .transpose(0, 1, 3, 5, 2, 4)
-            .reshape(b, ho, wo, c, s * s)
-        )
-        self._argmax = xr.argmax(axis=4)
-        self._in_shape = x.shape
-        return np.take_along_axis(xr, self._argmax[..., None], axis=4)[..., 0]
+        first, *rest = self._slices()
+        out = x[first].copy()
+        for sl in rest:
+            np.maximum(out, x[sl], out=out)
+        self._cache = (x, out)
+        return out
 
     def backward(self, dout):
-        b, h, w, c = self._in_shape
-        s = self.size
-        ho, wo = h // s, w // s
-        dxr = np.zeros((b, ho, wo, c, s * s))
-        np.put_along_axis(dxr, self._argmax[..., None], dout[..., None], axis=4)
-        dx = (
-            dxr.reshape(b, ho, wo, c, s, s)
-            .transpose(0, 1, 4, 2, 5, 3)
-            .reshape(b, h, w, c)
-        )
-        self._argmax = None
+        x, out = self._cache
+        dx = np.empty(x.shape)
+        free = np.ones(out.shape, dtype=bool)
+        # the gradient's bit patterns times the 0/1 mask: an exact copy where
+        # hit and +0.0 elsewhere, as np.where gives, in one strided pass
+        bits = np.asarray(dout, dtype=np.float64).view(np.uint64)
+        for sl in self._slices():
+            hit = x[sl] == out
+            hit &= free
+            np.multiply(bits, hit, out=dx[sl].view(np.uint64))
+            free ^= hit
+        self._cache = None
         return dx
 
     def descriptor(self):
@@ -395,6 +438,10 @@ class Dense(Layer):
 
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
+
+    @property
+    def n_params(self):
+        return (self.in_dim + 1) * self.out_dim
 
     def descriptor(self):
         return {
@@ -459,19 +506,39 @@ class Softmax(Layer):
         return {"kind": "softmax"}
 
 
+# descriptor kind -> (layer class, its positive-integer constructor fields,
+# its other constructor fields), fields in constructor order
 _LAYER_KINDS = {
-    "lstm": lambda d: Lstm(d["in_dim"], d["cells"]),
-    "dropout": lambda d: Dropout(d["rate"]),
-    "as_image": lambda d: AsImage(),
-    "conv2d": lambda d: Conv2d(
-        d["in_channels"], d["out_channels"], d["kh"], d["kw"], d["stride"], d["activation"]
-    ),
-    "maxpool2d": lambda d: MaxPool2d(d["size"]),
-    "flatten": lambda d: Flatten(),
-    "dense": lambda d: Dense(d["in_dim"], d["out_dim"], d["activation"]),
-    "summary_input": lambda d: SummaryInput(d["dim"]),
-    "softmax": lambda d: Softmax(),
+    "lstm": (Lstm, ("in_dim", "cells"), ()),
+    "dropout": (Dropout, (), ("rate",)),
+    "as_image": (AsImage, (), ()),
+    "conv2d": (Conv2d, ("in_channels", "out_channels", "kh", "kw", "stride"), ("activation",)),
+    "maxpool2d": (MaxPool2d, ("size",), ()),
+    "flatten": (Flatten, (), ()),
+    "dense": (Dense, ("in_dim", "out_dim"), ("activation",)),
+    "summary_input": (SummaryInput, ("dim",), ()),
+    "softmax": (Softmax, (), ()),
 }
+
+
+def _layer_from_descriptor(entry) -> Layer:
+    """Build one unallocated layer from its checkpoint descriptor."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r} in checkpoint")
+    cls, int_fields, other_fields = _LAYER_KINDS[kind]
+    for name in int_fields + other_fields:
+        if name not in entry:
+            raise ValueError(f"{kind} layer descriptor lacks {name!r}")
+    for name in int_fields:
+        value = entry[name]
+        if type(value) is not int or value < 1:
+            raise ValueError(
+                f"{kind} layer field {name!r} must be a positive integer, got {value!r}"
+            )
+    layer = cls(*(entry[name] for name in int_fields + other_fields))
+    layer.trace_point = entry.get("trace", layer.trace_point)
+    return layer
 
 
 class Network:
@@ -728,6 +795,11 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
+    """Read a checkpoint written by save_network.
+
+    The architecture is validated, and the parameter bytes it implies are
+    checked against the file, before any layer allocates its parameters.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     head = struct.Struct("<4sHI")
@@ -739,21 +811,25 @@ def load_network(path) -> Network:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     off = head.size + arch_len
+    if off > len(raw):
+        raise ValueError("checkpoint ends inside its architecture descriptor")
     arch = json.loads(raw[head.size : off].decode("utf-8"))
-    layers = []
-    for entry in arch["layers"]:
-        layer = _LAYER_KINDS[entry["kind"]](entry)
-        layer.trace_point = entry.get("trace", layer.trace_point)
-        layers.append(layer)
-    net = Network(layers, input_kind=arch["input_kind"], seed=arch["seed"])
+    if not isinstance(arch, dict) or not isinstance(arch.get("layers"), list):
+        raise ValueError("checkpoint architecture must hold a list of layers")
+    seed = arch.get("seed")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+    layers = [_layer_from_descriptor(entry) for entry in arch["layers"]]
+    need = 8 * sum(layer.n_params for layer in layers)
+    if len(raw) - off != need:
+        raise ValueError(
+            f"checkpoint holds {len(raw) - off} parameter bytes; its architecture needs {need}"
+        )
+    net = Network(layers, input_kind=arch.get("input_kind"), seed=seed)
     for _, value, _ in net.params():
         n = value.size
-        if off + 8 * n > len(raw):
-            raise ValueError("checkpoint payload shorter than the architecture needs")
         value[...] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(
             value.shape
         )
         off += 8 * n
-    if off != len(raw):
-        raise ValueError("trailing bytes after checkpoint parameters")
     return net

@@ -44,6 +44,8 @@ def read_tensor(path) -> np.ndarray:
     if version != TENSOR_VERSION:
         raise ValueError(f"unsupported tensor version {version}")
     off = _HEAD.size + 8 * ndim
+    if len(raw) < off:
+        raise ValueError(f"tensor file ends inside its {ndim} dims")
     dims = struct.unpack(f"<{ndim}Q", raw[_HEAD.size : off])
     n = int(np.prod(dims, dtype=np.int64)) if ndim else 1
     if len(raw) - off != 8 * n:

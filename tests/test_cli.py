@@ -11,8 +11,9 @@ import pytest
 
 import csicount
 from csicount.cli import main
+from csicount.neural import build_fcbp, save_network
 from csicount.sim import make_count_scene, save_scene
-from csicount.tensorfile import read_tensor
+from csicount.tensorfile import read_tensor, write_tensor
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +69,14 @@ def test_runtime_failure_prints_one_line_diagnostic(capsys, tmp_path):
     assert code == 1
     assert captured.err.startswith("error: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def assert_one_line_error(capsys, argv, needle):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and needle in err, err
+    assert len(err.strip().splitlines()) == 1, err
 
 
 def test_debug_log_level_emits_stderr_detail(tmp_path):
@@ -141,6 +150,15 @@ def test_preprocess_and_features_pipeline(capsys, tmp_path):
     assert code == 0
     assert kv["shape"] == "20x16"  # 2*10 scales by 2100//128 windows
     assert np.isfinite(read_tensor(feats)).all()
+
+
+def test_features_rejects_tensor_cut_inside_its_dims(capsys, tmp_path):
+    whole = tmp_path / "whole.csit"
+    write_tensor(np.zeros((4, 3)), whole)
+    cut = tmp_path / "cut.csit"
+    cut.write_bytes(whole.read_bytes()[:14])  # 7-byte header, then 7 of 16 dims bytes
+    argv = ["features", "--in", str(cut), "--out", str(tmp_path / "f.csit")]
+    assert_one_line_error(capsys, argv, "dims")
 
 
 def test_preprocess_counting_mode(capsys, tmp_path):
@@ -266,6 +284,28 @@ def test_train_count_eval_online(capsys, tmp_path):
     assert all("event=-" in l and "activity=-" in l for l in step_lines)
     assert kv["amendments"] == "0"
     assert kv["final_count"] == step_lines[-1].split("count=")[1].split()[0]
+
+
+@pytest.mark.parametrize("initial", ["9", "-1"])
+def test_online_rejects_initial_count_outside_0_to_5(capsys, tmp_path, initial):
+    cap, _ = simulate(capsys, tmp_path, "one.csic", persons=1, duration=0.2, seed=1)
+    ckpt = tmp_path / "net.csnn"
+    save_network(build_fcbp(seed=0), ckpt)
+    argv = ["online", "--ckpt", str(ckpt), "--capture", str(cap), "--initial", initial]
+    assert_one_line_error(capsys, argv, "current_count")
+
+
+def test_online_rejects_hostile_checkpoint(capsys, tmp_path):
+    arch = {
+        "input_kind": "summary",
+        "seed": 0,
+        "layers": [{"kind": "dense", "in_dim": 10**6, "out_dim": 10**6, "activation": "relu"}],
+    }
+    blob = json.dumps(arch).encode("utf-8")
+    ckpt = tmp_path / "huge.csnn"
+    ckpt.write_bytes(b"CSNN" + (1).to_bytes(2, "little") + len(blob).to_bytes(4, "little") + blob)
+    argv = ["online", "--ckpt", str(ckpt), "--capture", str(tmp_path / "unread.csic")]
+    assert_one_line_error(capsys, argv, "architecture needs")
 
 
 def test_train_count_rejects_bad_manifest(capsys, tmp_path):

@@ -242,6 +242,10 @@ def test_session_validation():
     net = build_fcbp(seed=0)
     with pytest.raises(ValueError):
         CountSession(net, current_count=-1)
+    # above the head's top class one door event could move the count by more
+    # than one (9 -> 5 on an enter)
+    with pytest.raises(ValueError, match="0..5"):
+        CountSession(net, current_count=6)
     with pytest.raises(ValueError):
         CountSession(net, finetune_lr=0.0)
     with pytest.raises(ValueError):

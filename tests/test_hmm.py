@@ -104,6 +104,40 @@ def test_appending_frames_decreases_log_likelihood():
     assert all(b < a for a, b in zip(lls, lls[1:]))
 
 
+# Only the third state explains frame 0 (first model) or frame 2 (second
+# model), and no probability mass can reach it there; every other state's
+# density at that frame is below exp(-4000), so it underflows once a frame
+# is shifted by its best density rather than by its best reachable term.
+UNREACHABLE_STATE_CASES = [
+    (
+        GaussianHmm(
+            [0.5, 0.5, 0.0],
+            [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+            [[0.0], [1.0], [10.0]],
+            [[0.01], [0.01], [0.01]],
+        ),
+        np.array([[10.0], [0.0], [1.0], [0.0]]),
+    ),
+    (
+        GaussianHmm(
+            [0.5, 0.5, 0.0],
+            [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.4, 0.3, 0.3]],
+            [[0.0], [1.0], [10.0]],
+            [[0.01], [0.01], [0.01]],
+        ),
+        np.array([[0.0], [1.0], [10.0], [0.0]]),
+    ),
+]
+
+
+@pytest.mark.parametrize("model, x", UNREACHABLE_STATE_CASES)
+def test_forward_with_unreachable_best_state(model, x):
+    with np.errstate(divide="ignore"):
+        oracle = logsumexp([lp for lp, _ in enumerate_paths(model, x)])
+    assert np.isfinite(oracle)
+    assert abs(log_likelihood(model, x) - oracle) <= 1e-9 * abs(oracle)
+
+
 def test_observation_validation():
     rng = np.random.default_rng(3)
     model = random_model(rng, 2, 3)
@@ -299,6 +333,16 @@ def test_classify_self_consistency():
         obs, _ = sample_hmm(models[lab], 30, seed=k)
         hits += classify_activity(models, obs) is lab
     assert hits / trials >= 0.95
+
+
+def test_classify_keeps_model_with_unreachable_best_state():
+    probe, x = UNREACHABLE_STATE_CASES[0]
+    far = GaussianHmm([1.0], [[1.0]], [[100.0]], [[0.01]])
+    # the far model is finite but far less likely; it must not win because
+    # the probe model's likelihood went missing
+    assert log_likelihood(far, x) < log_likelihood(probe, x)
+    models = {ActivityLabel.EMPTY: far, ActivityLabel.WALKING: probe}
+    assert classify_activity(models, x) is ActivityLabel.WALKING
 
 
 def test_classify_requires_models():

@@ -1,8 +1,12 @@
 """Layer engine: shapes, losses, gradients, training mechanics, storage."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from csicount import neural
 from csicount.neural import (
     Conv2d,
     Dense,
@@ -45,6 +49,9 @@ def test_parameter_counts():
     assert build_cnn_lstm().n_parameters == 3_512_071
     assert build_fcbp().n_parameters == 138_905
     assert build_cnn_lstm_toy().n_parameters == 3_135
+    for build in (build_cnn_lstm, build_fcbp, build_cnn_lstm_toy):
+        for layer in build().layers:
+            assert layer.n_params == sum(v.size for _, v, _ in layer.params())
 
 
 def test_full_network_shape_trace():
@@ -144,6 +151,103 @@ def test_conv_matches_brute_force():
                 patch = x[0, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3, 0]
                 ref = (patch * conv.W[:, :, 0, f]).sum() + conv.b[f]
                 assert abs(out[0, i, j, f] - ref) < 1e-12
+
+
+def conv_reference(conv, x, dout):
+    """Forward output and (dx, dW, db) of a conv by nested loops (oracle)."""
+    n, h, w, c = x.shape
+    kh, kw, s = conv.kh, conv.kw, conv.stride
+    ho, wo = (h - kh) // s + 1, (w - kw) // s + 1
+    z = np.empty((n, ho, wo, conv.out_channels))
+    for b in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for f in range(conv.out_channels):
+                    acc = conv.b[f]
+                    for di in range(kh):
+                        for dj in range(kw):
+                            for ch in range(c):
+                                acc += x[b, i * s + di, j * s + dj, ch] * conv.W[di, dj, ch, f]
+                    z[b, i, j, f] = acc
+    relu = conv.activation == "relu"
+    out = np.maximum(z, 0.0) if relu else z
+    dz = np.where(z > 0, dout, 0.0) if relu else dout
+    dx = np.zeros_like(x)
+    dW = np.zeros_like(conv.W)
+    db = np.zeros_like(conv.b)
+    for b in range(n):
+        for i in range(ho):
+            for j in range(wo):
+                for f in range(conv.out_channels):
+                    g = dz[b, i, j, f]
+                    db[f] += g
+                    for di in range(kh):
+                        for dj in range(kw):
+                            for ch in range(c):
+                                dW[di, dj, ch, f] += x[b, i * s + di, j * s + dj, ch] * g
+                                dx[b, i * s + di, j * s + dj, ch] += conv.W[di, dj, ch, f] * g
+    return out, dx, dW, db
+
+
+@pytest.mark.parametrize(
+    "conv, x_shape",
+    [
+        # stride 3 leaves the last input row and the last two columns unread
+        (Conv2d(3, 4, 5, 3, stride=3, activation="linear"), (3, 15, 14, 3)),
+        (Conv2d(3, 4, 5, 3, stride=3, activation="relu"), (3, 15, 14, 3)),
+        (Conv2d(1, 2, 3, 4, stride=1, activation="relu"), (2, 7, 9, 1)),
+    ],
+)
+def test_conv_forward_and_gradients_match_nested_loops(conv, x_shape):
+    rng = np.random.default_rng(21)
+    conv.initialize(rng)
+    conv.b[:] = 0.3 * rng.standard_normal(conv.out_channels)
+    x = rng.standard_normal(x_shape)
+    out = conv.forward(x, True)
+    dout = rng.standard_normal(out.shape)
+    dx = conv.backward(dout)
+    ref_out, ref_dx, ref_dW, ref_db = conv_reference(conv, x, dout)
+    if conv.activation == "relu":
+        assert (ref_out == 0).any() and (ref_out > 0).any()
+    assert out.shape == ref_out.shape
+    assert np.max(np.abs(out - ref_out)) < 1e-12
+    assert np.max(np.abs(dx - ref_dx)) < 1e-12
+    assert np.max(np.abs(conv.dW - ref_dW)) < 1e-12
+    assert np.max(np.abs(conv.db - ref_db)) < 1e-12
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_maxpool_routes_gradient_to_first_maximum_on_ties(size):
+    rng = np.random.default_rng(22)
+    b, ho, wo, c = 3, 4, 5, 2
+    x = rng.integers(0, 3, (b, ho * size, wo * size, c)).astype(float)
+    # whole-window ties in every batch item and channel
+    x[0, :size, :size, :] = 7.0
+    x[1, size : 2 * size, -size:, 1] = -1.0
+    x[2, -size:, :size, 0] = 0.0
+    pool = MaxPool2d(size)
+    out = pool.forward(x, True)
+    dout = rng.standard_normal(out.shape)
+    dx = pool.backward(dout)
+    ref_out = np.empty(out.shape)
+    ref_dx = np.zeros(x.shape)
+    for n in range(b):
+        for i in range(ho):
+            for j in range(wo):
+                for ch in range(c):
+                    best = None
+                    for p in range(size):  # row-major window order
+                        for q in range(size):
+                            v = x[n, i * size + p, j * size + q, ch]
+                            if best is None or v > best[0]:
+                                best = (v, p, q)
+                    v, p, q = best
+                    ref_out[n, i, j, ch] = v
+                    ref_dx[n, i * size + p, j * size + q, ch] = dout[n, i, j, ch]
+    assert out.tobytes() == ref_out.tobytes()
+    assert dx.tobytes() == ref_dx.tobytes()
+    # the all-7 window of item 0 passes its whole gradient to its corner
+    assert np.flatnonzero(dx[0, :size, :size, 0]).tolist() == [0]
 
 
 def test_conv_relu_clamps_negatives():
@@ -403,6 +507,9 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert np.array_equal(back.get_param_vector(), net.get_param_vector())
     assert back.descriptor() == net.descriptor()
     assert np.array_equal(back.forward(x), net.forward(x))
+    again = tmp_path / "again.csnn"
+    save_network(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -420,3 +527,63 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError):
         load_network(bad)
+
+
+def write_checkpoint(path, arch, payload=b""):
+    """A checkpoint file with a hand-written architecture descriptor."""
+    blob = json.dumps(arch).encode("utf-8")
+    path.write_bytes(struct.pack("<4sHI", b"CSNN", 1, len(blob)) + blob + payload)
+
+
+def refuse_allocation(monkeypatch):
+    def fail(self, rng):
+        raise AssertionError("a layer allocated its parameters")
+
+    for cls in (neural.Lstm, neural.Conv2d, neural.Dense):
+        monkeypatch.setattr(cls, "initialize", fail)
+
+
+def test_checkpoint_too_large_for_its_file_is_refused_before_allocation(tmp_path, monkeypatch):
+    refuse_allocation(monkeypatch)
+    path = tmp_path / "huge.csnn"
+    huge = {"kind": "dense", "in_dim": 10**6, "out_dim": 10**6, "activation": "linear"}
+    write_checkpoint(path, {"input_kind": "summary", "seed": 0, "layers": [huge]}, b"\0" * 64)
+    with pytest.raises(ValueError, match="architecture needs"):
+        load_network(path)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "layer_edit",
+    [
+        {"kind": "transformer"},
+        {"kind": MISSING},
+        {"in_dim": MISSING},
+        {"in_dim": 360.0},
+        {"in_dim": "360"},
+        {"in_dim": True},
+        {"in_dim": -360},
+        {"out_dim": 0},
+        {"activation": "tanh"},
+    ],
+)
+def test_checkpoint_with_bad_layer_descriptor_is_refused(tmp_path, monkeypatch, layer_edit):
+    net = build_fcbp(seed=35)
+    path = tmp_path / "net.csnn"
+    save_network(net, path)
+    raw = path.read_bytes()
+    (arch_len,) = struct.unpack("<I", raw[6:10])
+    arch = json.loads(raw[10 : 10 + arch_len])
+    entry = arch["layers"][1]
+    for key, value in layer_edit.items():
+        if value is MISSING:
+            del entry[key]
+        else:
+            entry[key] = value
+    refuse_allocation(monkeypatch)
+    write_checkpoint(path, arch, raw[10 + arch_len :])
+    with pytest.raises(ValueError):
+        load_network(path)
+
