@@ -110,13 +110,7 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / total if total else 0.0
 
 
-def _net_input(network: Network, window: CsiWindow) -> np.ndarray:
-    if network.input_kind == "summary":
-        return window.column_mean[None, :]
-    return np.asarray(window.values, dtype=np.float64)[None, :, :]
-
-
-def _stack_inputs(network: Network, windows) -> np.ndarray:
+def _inputs(network: Network, windows) -> np.ndarray:
     if network.input_kind == "summary":
         return np.stack([w.column_mean for w in windows])
     return np.stack([np.asarray(w.values, dtype=np.float64) for w in windows])
@@ -147,7 +141,7 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
             if iteration >= config.max_iterations:
                 break
             sel = order[start : start + config.batch_size]
-            x = _stack_inputs(network, [windows[i] for i in sel])
+            x = _inputs(network, [windows[i] for i in sel])
             loss, _ = network.loss_and_gradients(x, labels[sel], training=True)
             if not np.isfinite(loss):
                 raise RuntimeError(f"training diverged at iteration {iteration}: loss={loss}")
@@ -173,7 +167,7 @@ def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> Confus
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for start in range(0, len(labels), batch_size):
         chunk = windows[start : start + batch_size]
-        probs = network.forward(_stack_inputs(network, chunk), training=False)
+        probs = network.forward(_inputs(network, chunk), training=False)
         pred = probs.argmax(axis=1)
         for true, p in zip(labels[start : start + batch_size], pred):
             counts[true - 1, p] += 1
@@ -182,7 +176,7 @@ def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> Confus
 
 def predict_count(network: Network, window: CsiWindow):
     """(most probable count, probability vector); ties pick the smaller count."""
-    probs = network.forward(_net_input(network, window), training=False)[0]
+    probs = network.forward(_inputs(network, [window]), training=False)[0]
     return int(probs.argmax()) + 1, probs
 
 
@@ -239,7 +233,9 @@ def amend_and_finetune(
     final dense layer alone is fine-tuned on it.
     """
     before = session.current_count
-    prediction, _ = predict_count(session.network, sample)
+    net = session.network
+    head = net.forward(_inputs(net, [sample]), stop=net.last_dense)  # a fine-tune reuses it
+    prediction = int(net.forward(head, start=net.last_dense)[0].argmax()) + 1
     if event is None:
         session.current_count = prediction
         session.event_log.append(
@@ -257,11 +253,7 @@ def amend_and_finetune(
         action = "skip"
     else:
         finetune_last_dense(
-            session.network,
-            _net_input(session.network, sample),
-            clamped_label,
-            lr=session.finetune_lr,
-            steps=session.finetune_steps,
+            net, head, clamped_label, session.finetune_lr, session.finetune_steps, net.last_dense
         )
         action = "finetune"
     session.current_count = expected

@@ -269,13 +269,11 @@ def fit_hmm(
             occ += gamma.sum(axis=0)
             mean_acc += gamma.T @ x
             sq_acc += gamma.T @ (x**2)
-            for t in range(t_len - 1):
-                xi = (
-                    alpha[t][:, None]
-                    * model.transition
-                    * (b[t + 1] * beta[t + 1])[None, :]
-                )
-                trans_acc += xi / xi.sum()
+            # sum over t of xi_t / xi_t.sum(), xi_t = alpha_t[:, None] * A * w_t, in
+            # one product, since xi_t.sum() = (alpha_t A) . w_t
+            w = b[1:] * beta[1:]
+            total = ((alpha[:-1] @ model.transition) * w).sum(axis=1)
+            trans_acc += model.transition * ((alpha[:-1] / total[:, None]).T @ w)
 
         history.append(total_ll)
         if len(history) > 1 and abs(history[-1] - history[-2]) < tol:

@@ -52,6 +52,20 @@ def _uniform(rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, shape)
 
 
+def _cross_entropy(probs: np.ndarray, labels):
+    """Mean cross-entropy of (batch, classes) softmax probabilities against
+    1-based labels, and its gradient with respect to the logits."""
+    batch, n_classes = probs.shape
+    idx = np.asarray(labels, dtype=np.int64) - 1
+    if idx.shape != (batch,) or idx.min() < 0 or idx.max() >= n_classes:
+        raise ValueError(f"labels must be {batch} values in 1..{n_classes}")
+    rows = np.arange(batch)
+    dlogits = probs.copy()
+    dlogits[rows, idx] -= 1.0
+    dlogits /= batch
+    return -np.log(np.clip(probs[rows, idx], PROB_CLAMP, None)).mean(), dlogits
+
+
 class Layer:
     """Base layer: forward/backward pair plus parameter bookkeeping."""
 
@@ -247,7 +261,8 @@ class Conv2d(Layer):
     dx with kh strided row adds.  Between forward and backward the layer
     holds the row matrix (8 * batch * ho * kh * w * in bytes, about 32 MB
     for conv1 of the counting network at batch 64) and a reference to its
-    own output, from which the ReLU mask is read.
+    own output, from which the ReLU mask is read.  Backward masks into a
+    buffer the layer keeps and writes the row gradient over the spent rows.
     """
 
     def __init__(self, in_channels, out_channels, kh, kw, stride=1, activation="relu"):
@@ -266,6 +281,7 @@ class Conv2d(Layer):
         self.b = np.zeros(self.out_channels)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
+        self._dz = np.empty(0)  # ReLU-masked gradient, reused across backward calls
 
     def _diagonals(self, wo: int):
         """For each kernel column dj, the (input column, output column)
@@ -302,13 +318,16 @@ class Conv2d(Layer):
         b, h, w, c = x_shape
         _, ho, wo, f = dout.shape
         s, kh = self.stride, self.kh
-        dz = dout * (out > 0) if self.activation == "relu" else dout
+        if self.activation == "relu" and self._dz.shape != dout.shape:
+            self._dz = np.empty(dout.shape)
+        dz = np.multiply(dout, out > 0, out=self._dz) if self.activation == "relu" else dout
         dz_flat = dz.reshape(b * ho, wo * f)
         dband = (rows.T @ dz_flat).reshape(band.shape)
         for dj, (wi, wj) in enumerate(self._diagonals(wo)):
             self.dW[:, dj] += dband[:, wi, :, wj, :].sum(axis=0)
         self.db += dz_flat.sum(axis=0).reshape(wo, f).sum(axis=0)
-        drows = (dz_flat @ band.reshape(kh * w * c, wo * f).T).reshape(b, ho, kh, w, c)
+        np.matmul(dz_flat, band.reshape(kh * w * c, wo * f).T, out=rows)
+        drows = rows.reshape(b, ho, kh, w, c)
         dx = np.zeros(x_shape)
         for di in range(kh):
             dx[:, di : di + s * ho : s] += drows[:, :, di]
@@ -561,9 +580,10 @@ class Network:
             if isinstance(layer, Dropout):
                 layer.bind_rng(self.rng)
 
-    def forward(self, x, training: bool = False, check_finite: bool = True) -> np.ndarray:
+    def forward(self, x, training=False, check_finite=True, start=0, stop=None) -> np.ndarray:
+        """Run layers[start:stop] (the whole stack by default) on x."""
         out = np.asarray(x, dtype=np.float64)
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(self.layers[start:stop], start):
             out = layer.forward(out, training)
             if check_finite and not np.isfinite(out).all():
                 raise FloatingPointError(f"non-finite output at layer {i} ({layer.name})")
@@ -582,6 +602,14 @@ class Network:
         return out
 
     @property
+    def last_dense(self) -> int:
+        """Index of the final Dense layer, the only one fine-tuning updates."""
+        dense = [i for i, layer in enumerate(self.layers) if isinstance(layer, Dense)]
+        if not dense:
+            raise ValueError("network has no dense layer to fine-tune")
+        return dense[-1]
+
+    @property
     def n_parameters(self) -> int:
         return sum(v.size for _, v, _ in self.params())
 
@@ -597,15 +625,7 @@ class Network:
         """
         self.zero_grads()
         probs = self.forward(x, training=training)
-        batch, n_classes = probs.shape
-        idx = np.asarray(labels, dtype=np.int64) - 1
-        if idx.shape != (batch,) or idx.min() < 0 or idx.max() >= n_classes:
-            raise ValueError(f"labels must be {batch} values in 1..{n_classes}")
-        rows = np.arange(batch)
-        loss = -np.log(np.clip(probs[rows, idx], PROB_CLAMP, None)).mean()
-        dlogits = probs.copy()
-        dlogits[rows, idx] -= 1.0
-        dlogits /= batch
+        loss, dlogits = _cross_entropy(probs, labels)
         self.backward(dlogits)
         return loss, probs
 
@@ -702,10 +722,7 @@ def build_cnn_lstm_toy(seed: int = 0) -> Network:
 
 def data_loss(net: Network, x, labels) -> float:
     """Cross-entropy of a forward pass without touching gradients."""
-    probs = net.forward(x, training=False)
-    batch = probs.shape[0]
-    idx = np.asarray(labels, dtype=np.int64) - 1
-    return float(-np.log(np.clip(probs[np.arange(batch), idx], PROB_CLAMP, None)).mean())
+    return float(_cross_entropy(net.forward(x, training=False), labels)[0])
 
 
 def finite_difference_check(
@@ -752,34 +769,21 @@ def finite_difference_check(
     return worst
 
 
-def finetune_last_dense(net: Network, x, label: int, lr: float = 0.01, steps: int = 5) -> None:
+def finetune_last_dense(net: Network, x, label: int, lr=0.01, steps=5, start=0) -> None:
     """Run `steps` SGD steps on the final dense layer only.
 
-    Every other parameter array is left bitwise untouched: activations up
-    to the last dense layer are computed once (inference mode) and reused,
-    and only that layer's weights and bias are updated against the softmax
-    cross-entropy toward `label` (1-based).
+    Every other parameter array is left bitwise untouched: x feeds layer
+    `start` (net.last_dense: x is that layer's input), activations up to
+    the last dense layer are computed once (inference mode), and only its
+    weights and bias follow the cross-entropy of the network's own head
+    (that layer and the softmax after it) toward `label` (1-based).
     """
-    dense_indices = [i for i, l in enumerate(net.layers) if isinstance(l, Dense)]
-    if not dense_indices:
-        raise ValueError("network has no dense layer to fine-tune")
-    last = dense_indices[-1]
+    last = net.last_dense
     layer = net.layers[last]
-    out = np.asarray(x, dtype=np.float64)
-    for front in net.layers[:last]:
-        out = front.forward(out, training=False)
-    batch = out.shape[0]
-    idx = int(label) - 1
-    if not 0 <= idx < layer.out_dim:
-        raise ValueError(f"label must be in 1..{layer.out_dim}")
-    onehot = np.zeros((batch, layer.out_dim))
-    onehot[:, idx] = 1.0
+    out = net.forward(x, check_finite=False, start=start, stop=last)
+    labels = np.full(out.shape[0], int(label))
     for _ in range(steps):
-        z = out @ layer.W + layer.b
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        g = (p - onehot) / batch
+        _, g = _cross_entropy(net.forward(out, check_finite=False, start=last), labels)
         layer.W -= lr * (out.T @ g)
         layer.b -= lr * g.sum(axis=0)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.ndimage import median_filter
 from scipy.signal import fftconvolve
 
@@ -22,7 +23,8 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
     response 1 / (1 + (f / cutoff)^(2 * order)) - the zero-phase equivalent
     of running the filter forward and backward - so the attenuation of a
     tone at frequency f matches the analytic curve exactly.  DC gain is 1.
-    Reflection padding suppresses circular wrap-around at the ends.
+    Reflection padding suppresses circular wrap-around at the ends; the
+    trailing pad grows (up to n - 1) so the FFT length is next_fast_len.
     """
     x = np.asarray(series, dtype=np.float64)
     if not 0 < cutoff_hz < rate_hz / 2:
@@ -34,17 +36,28 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
         x = x[:, None]
     n = x.shape[0]
     if n < 2:
-        out = x.copy()
-        return out[:, 0] if squeeze else out
+        return np.array(series, dtype=np.float64)
     pad = min(n - 1, max(int(3 * rate_hz / cutoff_hz), 16))
+    tail = min(n - 1, next_fast_len(n + 2 * pad, real=True) - n - pad)
     top = x[1 : pad + 1][::-1]
-    bottom = x[-pad - 1 : -1][::-1]
+    bottom = x[-tail - 1 : -1][::-1]
     ext = np.concatenate([2 * x[0] - top, x, 2 * x[-1] - bottom])
     freqs = np.fft.rfftfreq(ext.shape[0], d=1.0 / rate_hz)
     gain = 1.0 / (1.0 + (freqs / cutoff_hz) ** (2 * order))
     out = np.fft.irfft(np.fft.rfft(ext, axis=0) * gain[:, None], n=ext.shape[0], axis=0)
     out = out[pad : pad + n]
     return out[:, 0] if squeeze else out
+
+
+def _centered_eigh(matrix):
+    """(column-centered H, eigenvalues descending, matching eigenvectors of H^T H)."""
+    h = np.asarray(matrix, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] < 2:
+        raise ValueError("need a 2-D matrix with at least two rows")
+    h = h - h.mean(axis=0)
+    eigenvalues, q = np.linalg.eigh(h.T @ h)
+    order = np.argsort(eigenvalues)[::-1]
+    return h, eigenvalues[order], q[:, order]
 
 
 def pca_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,16 +67,8 @@ def pca_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the eigenvectors q_i of Z = H^T H (H column-centered), and eigenvalues
     are sorted descending.  The eigenvalue sum equals trace(Z).
     """
-    h = np.asarray(matrix, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 2:
-        raise ValueError("need a 2-D matrix with at least two rows")
-    h = h - h.mean(axis=0)
-    z = h.T @ h
-    eigenvalues, q = np.linalg.eigh(z)
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    components = h @ q[:, order]
-    return components, eigenvalues
+    h, eigenvalues, q = _centered_eigh(matrix)
+    return h @ q, eigenvalues
 
 
 def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
@@ -73,12 +78,10 @@ def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
     shared by all CSI columns and is discarded; the returned matrix holds
     components 2 .. keep+1, each smoothed with a 5-point median filter.
     """
-    h = np.asarray(matrix, dtype=np.float64)
+    h, _, q = _centered_eigh(matrix)
     if not 1 <= keep <= h.shape[1] - 1:
         raise ValueError(f"keep must be in 1..{h.shape[1] - 1}")
-    components, _ = pca_components(h)
-    kept = components[:, 1 : keep + 1]
-    return median_filter(kept, size=(5, 1), mode="nearest")
+    return median_filter(h @ q[:, 1 : keep + 1], size=(5, 1), mode="nearest")
 
 
 def weighted_moving_average(series, m: int = 100):

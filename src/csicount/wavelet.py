@@ -1,16 +1,18 @@
 """Daubechies-4 wavelet decomposition and energy/variance features.
 
-The cascade splits a signal into detail coefficients at levels 1..L (level
-1 = highest frequency band) plus a final approximation, using the 4-tap
-orthonormal Daubechies filter with periodic boundary handling, so energy
-is conserved exactly and the transform inverts perfectly whenever every
-level splits an even-length signal (e.g. lengths divisible by 2^L).
+The cascade splits a signal, or each column of a matrix in one pass, into
+detail coefficients at levels 1..L (level 1 = highest frequency band) plus a
+final approximation, using the 4-tap orthonormal Daubechies filter with
+periodic boundary handling, so energy is conserved exactly and the transform
+inverts perfectly whenever every level splits an even-length signal (e.g.
+lengths divisible by 2^L).
 
-Feature extraction summarizes each level over fixed windows of the
-original time axis: detail coefficient n at level l sits at sample
-n * 2^l, and each 128-sample window contributes the mean of the squared
-coefficients it covers (an energy row) and their variance (a variance
-row), giving a 2L x n_windows matrix - 20 rows for the 10-level setup.
+Feature extraction summarizes each level over fixed windows of the original
+time axis: detail coefficient n at level l sits at sample n * 2^l, and each
+128-sample window contributes the mean of the squared coefficients it covers
+(an energy row) and their variance (a variance row), giving a 2L x n_windows
+matrix - 20 rows for the 10-level setup; columns decomposed together give
+the mean of their matrices.
 """
 
 from __future__ import annotations
@@ -44,35 +46,24 @@ class WaveletDecomposition:
 
 
 def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One periodic analysis step: x -> (approx, detail), halving the length."""
+    """One periodic analysis step along axis 0: x -> (approx, detail), halving it."""
     n = x.shape[0]
-    half = (n + 1) // 2
-    idx = (2 * np.arange(half)[:, None] + np.arange(4)[None, :]) % n
-    windows = x[idx]
-    return windows @ D4_LOWPASS, windows @ D4_HIGHPASS
+    taps = [x[(np.arange(0, n, 2) + k) % n] for k in range(4)]
+    approx = sum(h * tap for h, tap in zip(D4_LOWPASS, taps))
+    return approx, sum(g * tap for g, tap in zip(D4_HIGHPASS, taps))
 
 
 def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    """Inverse of _analyze for even-length signals."""
-    half = approx.shape[0]
-    n = 2 * half
-    idx = (2 * np.arange(half)[:, None] + np.arange(4)[None, :]) % n
+    """Inverse of _analyze for even-length signals; a tap's samples are distinct."""
+    n = 2 * approx.shape[0]
     out = np.zeros(n)
-    np.add.at(out, idx, approx[:, None] * D4_LOWPASS[None, :])
-    np.add.at(out, idx, detail[:, None] * D4_HIGHPASS[None, :])
+    for k in range(4):
+        out[(np.arange(0, n, 2) + k) % n] += D4_LOWPASS[k] * approx + D4_HIGHPASS[k] * detail
     return out
 
 
-def dwt_decompose(signal, levels: int = 10) -> WaveletDecomposition:
-    """Run the analysis cascade for `levels` levels.
-
-    Requires len(signal) >= 2^levels.  Level l has ceil(len / 2^l)
-    coefficients; when the length is divisible by 2^levels every split is
-    exact and the transform is orthonormal.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D signal")
+def _cascade(x: np.ndarray, levels: int) -> WaveletDecomposition:
+    """Validated analysis cascade along axis 0 (shared by both entry points)."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     if x.shape[0] < 2**levels:
@@ -87,6 +78,19 @@ def dwt_decompose(signal, levels: int = 10) -> WaveletDecomposition:
         x, d = _analyze(x)
         details.append(d)
     return WaveletDecomposition(tuple(details), x, n0)
+
+
+def dwt_decompose(signal, levels: int = 10) -> WaveletDecomposition:
+    """Run the analysis cascade for `levels` levels.
+
+    Requires len(signal) >= 2^levels.  Level l has ceil(len / 2^l)
+    coefficients; when the length is divisible by 2^levels every split is
+    exact and the transform is orthonormal.
+    """
+    x = np.asarray(signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("expected a 1-D signal")
+    return _cascade(x, levels)
 
 
 def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
@@ -129,6 +133,8 @@ def extract_features(decomp: WaveletDecomposition, window: int = 128) -> Feature
     coefficient n at level l is assigned to the window containing sample
     n * 2^l.  Windows that receive no coefficient at a level carry the
     level's last defined value forward.  Only complete windows are kept.
+    Details of shape (n_l, k), a cascade over k columns, give the mean of
+    the k columns' matrices.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -138,16 +144,17 @@ def extract_features(decomp: WaveletDecomposition, window: int = 128) -> Feature
     levels = decomp.levels
     values = np.zeros((2 * levels, n_windows))
     for lv, detail in enumerate(decomp.details, start=1):
-        positions = np.arange(detail.shape[0]) * (2**lv) // window
-        sq = detail**2
-        energy = variance = 0.0
-        for j in range(n_windows):
-            sel = sq[positions == j]
-            if sel.size:
-                energy = sel.mean()
-                variance = sel.var()
-            values[lv - 1, j] = energy
-            values[levels + lv - 1, j] = variance
+        pos = np.arange(detail.shape[0]) * (2**lv) // window
+        pos = pos[pos < n_windows]
+        starts = np.flatnonzero(np.diff(pos, prepend=-1))
+        counts = np.diff(starts, append=pos.size)[:, None]
+        sq = detail[: pos.size].reshape(pos.size, -1) ** 2
+        energy = np.add.reduceat(sq, starts, axis=0) / counts
+        dev = (sq - np.repeat(energy, counts[:, 0], axis=0)) ** 2
+        variance = np.add.reduceat(dev, starts, axis=0) / counts
+        fill = np.searchsorted(pos[starts], np.arange(n_windows), side="right")
+        for row, runs in ((lv - 1, energy), (levels + lv - 1, variance)):
+            values[row] = np.vstack([np.zeros_like(runs[:1]), runs])[fill].mean(axis=1)
     return FeatureMatrix(values)
 
 
@@ -156,20 +163,15 @@ def feature_matrix_from_components(
 ) -> FeatureMatrix:
     """Average the feature matrices of several component signals.
 
-    `components` is (n_samples, n_components); each column is decomposed
-    and summarized independently and the resulting matrices are averaged,
-    yielding one (2 * levels, n_windows) matrix for the whole set.
+    `components` is (n_samples, n_components); one cascade decomposes all
+    columns at once and extract_features averages their matrices, yielding
+    one (2 * levels, n_windows) matrix for the whole set.
     """
     comp = np.asarray(components, dtype=np.float64)
-    if comp.ndim == 1:
-        comp = comp[:, None]
-    if comp.shape[1] < 1:
+    comp = comp[:, None] if comp.ndim == 1 else comp
+    if comp.ndim != 2 or comp.shape[1] < 1:
         raise ValueError("need at least one component")
-    acc = None
-    for col in range(comp.shape[1]):
-        fm = extract_features(dwt_decompose(comp[:, col], levels), window)
-        acc = fm.values if acc is None else acc + fm.values
-    return FeatureMatrix(acc / comp.shape[1])
+    return extract_features(_cascade(comp, levels), window)
 
 
 def level_band(rate_hz: float, level: int) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from csicount.counting import (
     train,
 )
 from csicount.hmm import ActivityLabel, DoorEvent, classify_activity, fit_hmm
-from csicount.neural import Dense, build_cnn_lstm_toy, build_fcbp
+from csicount.neural import Dense, build_cnn_lstm_toy, build_fcbp, finetune_last_dense
 from csicount.preprocess import CsiWindow
 from csicount.sim import Path, Scene, make_count_scene, simulate_capture
 
@@ -282,6 +282,31 @@ def test_amend_enter_disagreement_finetunes_last_layer_only():
     assert (rec.time_index, rec.prediction, rec.action) == (9, 5, "finetune")
     assert (rec.count_before, rec.count_after, rec.label) == (2, 3, 3)
     assert not rec.clamped
+
+
+def test_amend_finetune_runs_front_layers_once():
+    # the fine-tune reuses the last dense layer's input from the prediction
+    # pass; the weights match a fine-tune that reruns the front layers
+    window = toy_window(np.random.default_rng(2).standard_normal((12, 20)))
+    net, ref = build_cnn_lstm_toy(seed=8), build_cnn_lstm_toy(seed=8)
+    for n in (net, ref):
+        n.layers[n.last_dense].b[:] = [0.0, 0.0, 0.0, 0.0, 9.0]  # predicts 5
+    calls = [0] * len(net.layers)
+    for i, layer in enumerate(net.layers):
+        def counted(x, training, _i=i, _f=layer.forward):
+            calls[_i] += 1
+            return _f(x, training)
+        layer.forward = counted
+    session = CountSession(net, current_count=1)
+    assert amend_and_finetune(session, window, DoorEvent("enter", 0)) == 2
+    assert session.event_log[-1].action == "finetune"
+    last = net.last_dense  # the front runs once, the head once per step too
+    assert calls == [1] * last + [1 + session.finetune_steps] * (len(net.layers) - last)
+    assert predict_count(ref, window)[0] == 5
+    lr, steps = session.finetune_lr, session.finetune_steps
+    finetune_last_dense(ref, window.values[None], 2, lr=lr, steps=steps)
+    for (name, a, _), (_, b, _) in zip(net.params(), ref.params()):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_amend_enter_agreement_skips_finetune():

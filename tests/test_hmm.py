@@ -227,6 +227,54 @@ def test_fit_log_likelihood_monotone():
     assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
 
 
+def loop_transition_update(model, seqs):
+    """One Baum-Welch transition re-estimate, summing xi_t step by step (oracle).
+
+    xi_t / xi_t.sum() does not change when alpha_t or b_{t+1} beta_{t+1} is
+    rescaled, so each step is simply normalized to sum to one.
+    """
+    acc = np.zeros_like(model.transition)
+    for x in seqs:
+        logb = frame_log_densities(model, x)
+        b = np.exp(logb - logb.max(axis=1, keepdims=True))
+        t_len, s = b.shape
+        alpha, beta = np.empty((t_len, s)), np.ones((t_len, s))
+        alpha[0] = model.initial * b[0] / (model.initial * b[0]).sum()
+        for t in range(1, t_len):
+            a = (alpha[t - 1] @ model.transition) * b[t]
+            alpha[t] = a / a.sum()
+        for t in range(t_len - 2, -1, -1):
+            v = model.transition @ (b[t + 1] * beta[t + 1])
+            beta[t] = v / v.sum()
+        for t in range(t_len - 1):
+            xi = alpha[t][:, None] * model.transition * (b[t + 1] * beta[t + 1])[None, :]
+            acc += xi / xi.sum()
+    return acc / acc.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_states,t_len", [(1, 5), (3, 40), (4, 200)])
+def test_transition_update_matches_per_step_loop(n_states, t_len):
+    rng = np.random.default_rng(n_states * t_len)
+    truth = random_model(rng, n_states, 2)
+    seqs = [sample_hmm(truth, t_len, seed=s)[0] for s in range(2)]
+    start = fit_hmm(seqs, n_states=n_states, max_iter=0, seed=3)  # the initialization
+    step = fit_hmm(seqs, n_states=n_states, max_iter=1, seed=3)  # one re-estimation
+    assert start.fit_log_likelihoods == [] and len(step.fit_log_likelihoods) == 1
+    ref = loop_transition_update(start, seqs)
+    np.testing.assert_allclose(step.transition, ref, rtol=1e-12, atol=0)
+
+
+def test_fit_models_validate_and_likelihood_never_drops():
+    rng = np.random.default_rng(12)
+    truth = random_model(rng, 3, 2)
+    seqs = [sample_hmm(truth, 120, seed=s)[0] for s in range(3)]
+    model = fit_hmm(seqs, n_states=3, max_iter=30, tol=0.0, seed=2)
+    model.validate()
+    lls = model.fit_log_likelihoods
+    assert len(lls) == 30
+    assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(8)
     seqs = [rng.standard_normal((40, 3)) for _ in range(2)]

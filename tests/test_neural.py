@@ -216,6 +216,32 @@ def test_conv_forward_and_gradients_match_nested_loops(conv, x_shape):
     assert np.max(np.abs(conv.db - ref_db)) < 1e-12
 
 
+def test_conv_relu_backward_reuses_its_buffer_without_touching_dout():
+    # the masked gradient lives in a buffer the layer keeps between calls:
+    # each call must leave the caller's dout alone, must not return or
+    # accumulate stale values, and must follow a change of batch size
+    rng = np.random.default_rng(23)
+    conv = Conv2d(2, 3, 3, 3, stride=1, activation="relu")
+    conv.initialize(rng)
+    conv.b[:] = 0.2 * rng.standard_normal(3)
+    results = []
+    for batch in (3, 2, 3):
+        x = np.random.default_rng(batch).standard_normal((batch, 6, 7, 2))
+        out = conv.forward(x, True)
+        dout = np.random.default_rng(batch + 10).standard_normal(out.shape)
+        before = dout.copy()
+        conv.dW[...] = 0.0
+        conv.db[...] = 0.0
+        dx = conv.backward(dout)
+        assert dout.tobytes() == before.tobytes()
+        _, ref_dx, ref_dW, ref_db = conv_reference(conv, x, dout)
+        assert np.max(np.abs(dx - ref_dx)) < 1e-12
+        assert np.max(np.abs(conv.dW - ref_dW)) < 1e-12
+        assert np.max(np.abs(conv.db - ref_db)) < 1e-12
+        results.append((dx.tobytes(), conv.dW.tobytes(), conv.db.tobytes()))
+    assert results[0] == results[2]
+
+
 @pytest.mark.parametrize("size", [2, 3])
 def test_maxpool_routes_gradient_to_first_maximum_on_ties(size):
     rng = np.random.default_rng(22)
@@ -485,6 +511,38 @@ def test_finetune_touches_only_last_dense():
     ) if not np.array_equal(old, new)}
     final = f"layer{len(net.layers) - 2}"
     assert changed == {f"{final}.W", f"{final}.b"}
+
+
+def test_finetune_from_head_input_matches_front_pass_bitwise():
+    # passing the last dense layer's input with start=last_dense skips the
+    # front layers and yields the very same weights
+    for build, x in (
+        (build_cnn_lstm_toy, TOY_X[:1]),
+        (build_fcbp, np.random.default_rng(33).standard_normal((1, 360))),
+    ):
+        full, split = build(seed=34), build(seed=34)
+        finetune_last_dense(full, x, 3, lr=0.05, steps=5)
+        last = split.last_dense
+        head = split.forward(x, stop=last)
+        ran = []
+        for layer in split.layers[:last]:
+            layer.forward = lambda *a, _f=layer.forward: ran.append(1) or _f(*a)
+        finetune_last_dense(split, head, 3, lr=0.05, steps=5, start=last)
+        assert ran == []
+        for (name, a, _), (_, b, _) in zip(full.params(), split.params()):
+            assert a.tobytes() == b.tobytes(), name
+
+
+def test_forward_runs_a_layer_range():
+    net = build_cnn_lstm_toy(seed=35)
+    last = net.last_dense
+    assert isinstance(net.layers[last], Dense)
+    assert not any(isinstance(l, Dense) for l in net.layers[last + 1 :])
+    head = net.forward(TOY_X, stop=last)
+    probs = net.forward(head, start=last)
+    assert probs.tobytes() == net.forward(TOY_X).tobytes()
+    with pytest.raises(ValueError):
+        Network([Softmax()], input_kind="summary").last_dense
 
 
 def test_finetune_validates_label():

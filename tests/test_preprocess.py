@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 
 from csicount.capture import split_streams, window
 from csicount.preprocess import (
@@ -83,6 +84,42 @@ def test_butterworth_rejects_bad_cutoff():
         butterworth_lowpass(x, RATE, 100.0, order=0)
 
 
+def symmetric_pad_lowpass(x, rate, cutoff, order=4):
+    """The same filter with equal reflection pads at both ends (reference)."""
+    n = x.shape[0]
+    pad = min(n - 1, max(int(3 * rate / cutoff), 16))
+    ext = np.concatenate(
+        [2 * x[0] - x[1 : pad + 1][::-1], x, 2 * x[-1] - x[-pad - 1 : -1][::-1]]
+    )
+    freqs = np.fft.rfftfreq(ext.shape[0], d=1.0 / rate)
+    gain = 1.0 / (1.0 + (freqs / cutoff) ** (2 * order))
+    gain = gain.reshape((-1,) + (1,) * (x.ndim - 1))
+    return np.fft.irfft(np.fft.rfft(ext, axis=0) * gain, n=ext.shape[0], axis=0)[pad : pad + n]
+
+
+@pytest.mark.parametrize("n", [2, 17, 500, 1000, 1024, 3001])
+def test_butterworth_fast_length_pad_matches_symmetric_pad_on_smooth_input(n):
+    # The longer trailing reflection changes only the circular wrap-around
+    # at the ends.  Interior rows agree to rounding; near the ends the
+    # change stays well inside the end error both pads already make
+    # against the exact zero-phase response g(f) of the slow tones.
+    t = np.arange(n) / RATE
+    rng = np.random.default_rng(n)
+    freqs = rng.uniform(0.5, 20.0, (3, 4))
+    phases = rng.uniform(0.0, 2 * np.pi, (3, 4))
+    gain = 1.0 / (1.0 + (freqs / 200.0) ** 8)
+    tones = np.sin(2 * np.pi * freqs[:, None, :] * t[None, :, None] + phases[:, None, :])
+    x = tones.sum(axis=0)
+    exact = (gain[:, None, :] * tones).sum(axis=0)
+    for col in (slice(None), 0):
+        y = butterworth_lowpass(x[:, col], RATE, 200.0)
+        ref = symmetric_pad_lowpass(x[:, col], RATE, 200.0)
+        assert y.shape == x[:, col].shape
+        change = np.abs(y - ref)
+        assert change.max() <= 0.5 * np.abs(ref - exact[:, col]).max()
+        assert change[66:-66].max(initial=0.0) < 1e-7 * np.abs(ref).max()
+
+
 # ----------------------------------------------------------------- pca
 
 
@@ -134,6 +171,23 @@ def test_pca_denoise_shape_and_validation():
         pca_denoise(h, keep=40)
     with pytest.raises(ValueError):
         pca_denoise(h, keep=0)
+
+
+@pytest.mark.parametrize("shape", [(400, 180), (1024, 180), (300, 40)])
+def test_pca_denoise_equals_median_of_sliced_components(shape):
+    # Projecting onto the kept eigenvectors alone gives the same bits as
+    # slicing all components at the activity branch's keep=10; narrower
+    # products may take other BLAS kernels, so keep 1..4 is held to rounding.
+    rng = np.random.default_rng(shape[0])
+    h = common_mode_matrix(seed=shape[1], t_len=shape[0], n_cols=shape[1])
+    h += 0.1 * rng.standard_normal(shape)
+    comps, _ = pca_components(h)
+    for keep in (1, 2, 4, 10, shape[1] - 1):
+        ref = median_filter(comps[:, 1 : keep + 1], size=(5, 1), mode="nearest")
+        out = pca_denoise(h, keep=keep)
+        if keep == 10:
+            assert np.array_equal(out, ref)
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
 def test_pca_denoise_median_filter_kills_spikes():

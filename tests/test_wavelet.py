@@ -200,6 +200,52 @@ def test_feature_window_validation():
         extract_features(decomp, window=128)  # shorter than one window
 
 
+def loop_features(decomp, window):
+    """The per-window loop the features were first computed with (oracle)."""
+    n_windows = decomp.signal_len // window
+    levels = decomp.levels
+    values = np.zeros((2 * levels, n_windows))
+    for lv, detail in enumerate(decomp.details, start=1):
+        positions = np.arange(detail.shape[0]) * (2**lv) // window
+        sq = detail**2
+        energy = variance = 0.0
+        for j in range(n_windows):
+            sel = sq[positions == j]
+            if sel.size:
+                energy = sel.mean()
+                variance = sel.var()
+            values[lv - 1, j] = energy
+            values[levels + lv - 1, j] = variance
+    return values
+
+
+@pytest.mark.parametrize("n", [1024, 1500, 2560, 3001, 16384])
+@pytest.mark.parametrize("window", [64, 128, 200])
+def test_features_match_per_window_loop(n, window):
+    rng = np.random.default_rng(n + window)
+    cols = rng.standard_normal((n, 10)) * rng.uniform(0.1, 10.0, 10)
+    singles = [loop_features(dwt_decompose(cols[:, c], levels=10), window) for c in range(10)]
+    for k in (1, 3, 10):
+        ref = np.mean(singles[:k], axis=0)
+        got = feature_matrix_from_components(cols[:, :k], levels=10, window=window).values
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    one = extract_features(dwt_decompose(cols[:, 0], levels=10), window).values
+    np.testing.assert_allclose(one, singles[0], rtol=1e-12, atol=0)
+
+
+def test_forward_fill_matches_loop_on_sparse_levels():
+    # window 200 over levels whose coefficients sit 256 or more samples
+    # apart leaves whole windows empty: they repeat the last defined value
+    rng = np.random.default_rng(11)
+    decomp = dwt_decompose(rng.standard_normal(3001), levels=10)
+    ref = loop_features(decomp, 200)
+    got = extract_features(decomp, window=200).values
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    # level 10 has coefficients at samples 0, 1024 and 2048: windows 0, 5, 10
+    assert [len(set(got[9, a:b])) for a, b in ((0, 5), (5, 10), (10, 15))] == [1, 1, 1]
+    assert len(set(got[9])) == 3
+
+
 # ------------------------------------------------- component averaging
 
 
