@@ -174,10 +174,14 @@ def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> Confus
     return ConfusionMatrix(counts)
 
 
+def _most_probable(probs: np.ndarray):
+    """(count, probability vector) of a batch-1 pass; ties pick the smaller count."""
+    return int(probs[0].argmax()) + 1, probs[0]
+
+
 def predict_count(network: Network, window: CsiWindow):
     """(most probable count, probability vector); ties pick the smaller count."""
-    probs = network.forward(_inputs(network, [window]), training=False)[0]
-    return int(probs.argmax()) + 1, probs
+    return _most_probable(network.forward(_inputs(network, [window]), training=False))
 
 
 @dataclass
@@ -235,7 +239,7 @@ def amend_and_finetune(
     before = session.current_count
     net = session.network
     head = net.forward(_inputs(net, [sample]), stop=net.last_dense)  # a fine-tune reuses it
-    prediction = int(net.forward(head, start=net.last_dense)[0].argmax()) + 1
+    prediction, _ = _most_probable(net.forward(head, start=net.last_dense))
     if event is None:
         session.current_count = prediction
         session.event_log.append(
@@ -252,9 +256,7 @@ def amend_and_finetune(
     if prediction == clamped_label:
         action = "skip"
     else:
-        finetune_last_dense(
-            net, head, clamped_label, session.finetune_lr, session.finetune_steps, net.last_dense
-        )
+        finetune_last_dense(net, head, clamped_label, session.finetune_lr, session.finetune_steps)
         action = "finetune"
     session.current_count = expected
     session.event_log.append(

@@ -261,8 +261,7 @@ class Conv2d(Layer):
     dx with kh strided row adds.  Between forward and backward the layer
     holds the row matrix (8 * batch * ho * kh * w * in bytes, about 32 MB
     for conv1 of the counting network at batch 64) and a reference to its
-    own output, from which the ReLU mask is read.  Backward masks into a
-    buffer the layer keeps and writes the row gradient over the spent rows.
+    own output, from which the ReLU mask is read.
     """
 
     def __init__(self, in_channels, out_channels, kh, kw, stride=1, activation="relu"):
@@ -281,7 +280,6 @@ class Conv2d(Layer):
         self.b = np.zeros(self.out_channels)
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        self._dz = np.empty(0)  # ReLU-masked gradient, reused across backward calls
 
     def _diagonals(self, wo: int):
         """For each kernel column dj, the (input column, output column)
@@ -318,16 +316,13 @@ class Conv2d(Layer):
         b, h, w, c = x_shape
         _, ho, wo, f = dout.shape
         s, kh = self.stride, self.kh
-        if self.activation == "relu" and self._dz.shape != dout.shape:
-            self._dz = np.empty(dout.shape)
-        dz = np.multiply(dout, out > 0, out=self._dz) if self.activation == "relu" else dout
+        dz = dout * (out > 0) if self.activation == "relu" else dout
         dz_flat = dz.reshape(b * ho, wo * f)
         dband = (rows.T @ dz_flat).reshape(band.shape)
         for dj, (wi, wj) in enumerate(self._diagonals(wo)):
             self.dW[:, dj] += dband[:, wi, :, wj, :].sum(axis=0)
         self.db += dz_flat.sum(axis=0).reshape(wo, f).sum(axis=0)
-        np.matmul(dz_flat, band.reshape(kh * w * c, wo * f).T, out=rows)
-        drows = rows.reshape(b, ho, kh, w, c)
+        drows = (dz_flat @ band.reshape(kh * w * c, wo * f).T).reshape(b, ho, kh, w, c)
         dx = np.zeros(x_shape)
         for di in range(kh):
             dx[:, di : di + s * ho : s] += drows[:, :, di]
@@ -769,22 +764,20 @@ def finite_difference_check(
     return worst
 
 
-def finetune_last_dense(net: Network, x, label: int, lr=0.01, steps=5, start=0) -> None:
+def finetune_last_dense(net: Network, head, label: int, lr: float = 0.01, steps: int = 5) -> None:
     """Run `steps` SGD steps on the final dense layer only.
 
-    Every other parameter array is left bitwise untouched: x feeds layer
-    `start` (net.last_dense: x is that layer's input), activations up to
-    the last dense layer are computed once (inference mode), and only its
-    weights and bias follow the cross-entropy of the network's own head
-    (that layer and the softmax after it) toward `label` (1-based).
+    `head` is that layer's input, net.forward(x, stop=net.last_dense).  Its
+    weights and bias follow the cross-entropy of the layers from it on
+    toward `label` (1-based); every other parameter is left untouched.
     """
     last = net.last_dense
     layer = net.layers[last]
-    out = net.forward(x, check_finite=False, start=start, stop=last)
-    labels = np.full(out.shape[0], int(label))
+    head = np.asarray(head, dtype=np.float64)
+    labels = np.full(head.shape[0], int(label))
     for _ in range(steps):
-        _, g = _cross_entropy(net.forward(out, check_finite=False, start=last), labels)
-        layer.W -= lr * (out.T @ g)
+        _, g = _cross_entropy(net.forward(head, check_finite=False, start=last), labels)
+        layer.W -= lr * (head.T @ g)
         layer.b -= lr * g.sum(axis=0)
 
 

@@ -23,8 +23,9 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
     response 1 / (1 + (f / cutoff)^(2 * order)) - the zero-phase equivalent
     of running the filter forward and backward - so the attenuation of a
     tone at frequency f matches the analytic curve exactly.  DC gain is 1.
-    Reflection padding suppresses circular wrap-around at the ends; the
-    trailing pad grows (up to n - 1) so the FFT length is next_fast_len.
+    Reflection padding suppresses circular wrap-around at the ends; unless
+    it spans the whole signal, the padded sequence repeats its own samples
+    across the wrap point, half from each side, up to next_fast_len.
     """
     x = np.asarray(series, dtype=np.float64)
     if not 0 < cutoff_hz < rate_hz / 2:
@@ -36,12 +37,15 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
         x = x[:, None]
     n = x.shape[0]
     if n < 2:
-        return np.array(series, dtype=np.float64)
+        out = x.copy()
+        return out[:, 0] if squeeze else out
     pad = min(n - 1, max(int(3 * rate_hz / cutoff_hz), 16))
-    tail = min(n - 1, next_fast_len(n + 2 * pad, real=True) - n - pad)
     top = x[1 : pad + 1][::-1]
-    bottom = x[-tail - 1 : -1][::-1]
+    bottom = x[-pad - 1 : -1][::-1]
     ext = np.concatenate([2 * x[0] - top, x, 2 * x[-1] - bottom])
+    m = ext.shape[0]
+    grow = next_fast_len(m, real=True) - m if pad < n - 1 else 0
+    ext = np.concatenate([ext, ext[: grow // 2], ext[m - (grow - grow // 2) :]])
     freqs = np.fft.rfftfreq(ext.shape[0], d=1.0 / rate_hz)
     gain = 1.0 / (1.0 + (freqs / cutoff_hz) ** (2 * order))
     out = np.fft.irfft(np.fft.rfft(ext, axis=0) * gain[:, None], n=ext.shape[0], axis=0)

@@ -1,18 +1,16 @@
 """Daubechies-4 wavelet decomposition and energy/variance features.
 
-The cascade splits a signal, or each column of a matrix in one pass, into
+The cascade splits a signal (or every column of a matrix at once) into
 detail coefficients at levels 1..L (level 1 = highest frequency band) plus a
 final approximation, using the 4-tap orthonormal Daubechies filter with
 periodic boundary handling, so energy is conserved exactly and the transform
-inverts perfectly whenever every level splits an even-length signal (e.g.
-lengths divisible by 2^L).
+inverts perfectly whenever every level splits an even-length signal.
 
 Feature extraction summarizes each level over fixed windows of the original
 time axis: detail coefficient n at level l sits at sample n * 2^l, and each
 128-sample window contributes the mean of the squared coefficients it covers
 (an energy row) and their variance (a variance row), giving a 2L x n_windows
-matrix - 20 rows for the 10-level setup; columns decomposed together give
-the mean of their matrices.
+matrix (20 rows for 10 levels), averaged over columns decomposed together.
 """
 
 from __future__ import annotations
@@ -54,11 +52,13 @@ def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    """Inverse of _analyze for even-length signals; a tap's samples are distinct."""
-    n = 2 * approx.shape[0]
+    """Inverse of _analyze for even-length signals."""
+    half = approx.shape[0]
+    n = 2 * half
+    idx = (2 * np.arange(half)[:, None] + np.arange(4)[None, :]) % n
     out = np.zeros(n)
-    for k in range(4):
-        out[(np.arange(0, n, 2) + k) % n] += D4_LOWPASS[k] * approx + D4_HIGHPASS[k] * detail
+    np.add.at(out, idx, approx[:, None] * D4_LOWPASS[None, :])
+    np.add.at(out, idx, detail[:, None] * D4_HIGHPASS[None, :])
     return out
 
 

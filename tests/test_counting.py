@@ -304,7 +304,7 @@ def test_amend_finetune_runs_front_layers_once():
     assert calls == [1] * last + [1 + session.finetune_steps] * (len(net.layers) - last)
     assert predict_count(ref, window)[0] == 5
     lr, steps = session.finetune_lr, session.finetune_steps
-    finetune_last_dense(ref, window.values[None], 2, lr=lr, steps=steps)
+    finetune_last_dense(ref, ref.forward(window.values[None], stop=ref.last_dense), 2, lr, steps)
     for (name, a, _), (_, b, _) in zip(net.params(), ref.params()):
         assert a.tobytes() == b.tobytes(), name
 

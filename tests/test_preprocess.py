@@ -97,27 +97,24 @@ def symmetric_pad_lowpass(x, rate, cutoff, order=4):
     return np.fft.irfft(np.fft.rfft(ext, axis=0) * gain, n=ext.shape[0], axis=0)[pad : pad + n]
 
 
-@pytest.mark.parametrize("n", [2, 17, 500, 1000, 1024, 3001])
+@pytest.mark.parametrize("n", [2, 17, 500, 1000, 1024, 3001, 16384])
 def test_butterworth_fast_length_pad_matches_symmetric_pad_on_smooth_input(n):
-    # The longer trailing reflection changes only the circular wrap-around
-    # at the ends.  Interior rows agree to rounding; near the ends the
-    # change stays well inside the end error both pads already make
-    # against the exact zero-phase response g(f) of the slow tones.
+    # Lengthening the padded sequence across the wrap point changes only the
+    # circular wrap-around near the ends: by under 1e-4 of the peak at this
+    # cutoff, and to rounding in the interior.  A signal no longer than the
+    # 22-sample pad is reflected whole and filtered as with equal pads.
     t = np.arange(n) / RATE
     rng = np.random.default_rng(n)
     freqs = rng.uniform(0.5, 20.0, (3, 4))
     phases = rng.uniform(0.0, 2 * np.pi, (3, 4))
-    gain = 1.0 / (1.0 + (freqs / 200.0) ** 8)
-    tones = np.sin(2 * np.pi * freqs[:, None, :] * t[None, :, None] + phases[:, None, :])
-    x = tones.sum(axis=0)
-    exact = (gain[:, None, :] * tones).sum(axis=0)
+    x = np.sin(2 * np.pi * freqs[:, None, :] * t[None, :, None] + phases[:, None, :]).sum(axis=0)
     for col in (slice(None), 0):
         y = butterworth_lowpass(x[:, col], RATE, 200.0)
         ref = symmetric_pad_lowpass(x[:, col], RATE, 200.0)
         assert y.shape == x[:, col].shape
-        change = np.abs(y - ref)
-        assert change.max() <= 0.5 * np.abs(ref - exact[:, col]).max()
-        assert change[66:-66].max(initial=0.0) < 1e-7 * np.abs(ref).max()
+        change = np.abs(y - ref) / np.abs(ref).max()
+        assert change.max() < (1e-12 if n <= 23 else 1e-4)
+        assert change[66:-66].max(initial=0.0) < 1e-7
 
 
 # ----------------------------------------------------------------- pca
