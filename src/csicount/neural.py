@@ -70,6 +70,7 @@ class Layer:
     """Base layer: forward/backward pair plus parameter bookkeeping."""
 
     trace_point = True  # whether shape_trace records this layer's output
+    _cache = None  # what backward needs from the last forward, if anything
 
     def initialize(self, rng) -> None:
         """Allocate parameters (draws from rng in a fixed order)."""
@@ -212,16 +213,16 @@ class Dropout(Layer):
 
     def forward(self, x, training):
         if not training or self.rate == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         keep = 1.0 - self.rate
-        self._mask = (self._rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._cache = (self._rng.random(x.shape) < keep) / keep  # the scaled mask
+        return x * self._cache
 
     def backward(self, dout):
-        if self._mask is None:
+        if self._cache is None:
             return dout
-        return dout * self._mask
+        return dout * self._cache
 
     def descriptor(self):
         return {"kind": "dropout", "rate": self.rate}
@@ -403,11 +404,11 @@ class Flatten(Layer):
     """Collapse all non-batch axes."""
 
     def forward(self, x, training):
-        self._in_shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
-        return dout.reshape(self._in_shape)
+        return dout.reshape(self._cache)
 
     def descriptor(self):
         return {"kind": "flatten"}
@@ -575,11 +576,21 @@ class Network:
             if isinstance(layer, Dropout):
                 layer.bind_rng(self.rng)
 
-    def forward(self, x, training=False, check_finite=True, start=0, stop=None) -> np.ndarray:
-        """Run layers[start:stop] (the whole stack by default) on x."""
+    def forward(
+        self, x, training=False, check_finite=True, start=0, stop=None, keep_cache=True
+    ) -> np.ndarray:
+        """Run layers[start:stop] (the whole stack by default) on x.
+
+        Each layer keeps what its backward needs (its input, gates or row
+        matrix) until the next forward.  An inference pass that will not be
+        followed by backward passes keep_cache=False, which drops each
+        layer's cache as soon as the layer returns.
+        """
         out = np.asarray(x, dtype=np.float64)
         for i, layer in enumerate(self.layers[start:stop], start):
             out = layer.forward(out, training)
+            if not keep_cache:
+                layer._cache = None
             if check_finite and not np.isfinite(out).all():
                 raise FloatingPointError(f"non-finite output at layer {i} ({layer.name})")
         return out
@@ -717,7 +728,7 @@ def build_cnn_lstm_toy(seed: int = 0) -> Network:
 
 def data_loss(net: Network, x, labels) -> float:
     """Cross-entropy of a forward pass without touching gradients."""
-    return float(_cross_entropy(net.forward(x, training=False), labels)[0])
+    return float(_cross_entropy(net.forward(x, keep_cache=False), labels)[0])
 
 
 def finite_difference_check(
@@ -776,7 +787,8 @@ def finetune_last_dense(net: Network, head, label: int, lr: float = 0.01, steps:
     head = np.asarray(head, dtype=np.float64)
     labels = np.full(head.shape[0], int(label))
     for _ in range(steps):
-        _, g = _cross_entropy(net.forward(head, check_finite=False, start=last), labels)
+        probs = net.forward(head, check_finite=False, start=last, keep_cache=False)
+        _, g = _cross_entropy(probs, labels)
         layer.W -= lr * (head.T @ g)
         layer.b -= lr * g.sum(axis=0)
 

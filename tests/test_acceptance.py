@@ -31,6 +31,7 @@ from csicount.counting import (
     count_windows_from_capture,
     evaluate,
     train,
+    window_heads,
 )
 from csicount.hmm import (
     ActivityLabel,
@@ -344,7 +345,7 @@ def test_scripted_door_events_drive_unit_count_steps():
     snapshot = [(name, value.copy()) for name, value, _ in net.params()]
     session = CountSession(net, current_count=4)
     for i, (window, kind) in enumerate(zip(windows, kinds)):
-        amend_and_finetune(session, window, DoorEvent(kind, i), time_index=i)
+        amend_and_finetune(session, window_heads(net, [window]), DoorEvent(kind, i), time_index=i)
 
     records = session.event_log
     assert [r.count_after for r in records] == expected_counts

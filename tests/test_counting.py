@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from csicount.capture import CsiCapture, concat_captures
+from csicount.capture import CsiCapture, concat_captures, split_streams
 from csicount.counting import (
+    ACTIVITY_HISTORY,
+    ONLINE_BLOCK,
     REGIME_LEARNING_RATES,
     REGIMES,
     ConfusionMatrix,
     CountSession,
     Dataset,
+    OnlineStep,
     TrainConfig,
+    WINDOW_LEN,
     activity_features,
     activity_features_from_capture,
     amend_and_finetune,
@@ -19,9 +23,16 @@ from csicount.counting import (
     predict_count,
     run_online,
     train,
+    window_heads,
 )
-from csicount.hmm import ActivityLabel, DoorEvent, classify_activity, fit_hmm
-from csicount.neural import Dense, build_cnn_lstm_toy, build_fcbp, finetune_last_dense
+from csicount.hmm import ActivityLabel, DoorEvent, DoorEventDetector, classify_activity, fit_hmm
+from csicount.neural import (
+    Dense,
+    build_cnn_lstm,
+    build_cnn_lstm_toy,
+    build_fcbp,
+    finetune_last_dense,
+)
 from csicount.preprocess import CsiWindow
 from csicount.sim import Path, Scene, make_count_scene, simulate_capture
 
@@ -257,7 +268,8 @@ def test_amend_without_event_trusts_network():
     force_prediction(net, 4)
     snapshot = param_snapshot(net)
     session = CountSession(net, current_count=2)
-    result = amend_and_finetune(session, summary_window(np.random.default_rng(1)), None)
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    result = amend_and_finetune(session, head, None)
     assert result == 4
     assert session.current_count == 4
     assert changed_params(net, snapshot) == set()
@@ -273,7 +285,8 @@ def test_amend_enter_disagreement_finetunes_last_layer_only():
     snapshot = param_snapshot(net)
     session = CountSession(net, current_count=2)
     event = DoorEvent("enter", 0)
-    result = amend_and_finetune(session, summary_window(np.random.default_rng(1)), event, time_index=9)
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    result = amend_and_finetune(session, head, event, time_index=9)
     assert result == 3
     assert session.current_count == 3
     final = f"layer{len(net.layers) - 2}"
@@ -284,29 +297,46 @@ def test_amend_enter_disagreement_finetunes_last_layer_only():
     assert not rec.clamped
 
 
-def test_amend_finetune_runs_front_layers_once():
-    # the fine-tune reuses the last dense layer's input from the prediction
-    # pass; the weights match a fine-tune that reruns the front layers
-    window = toy_window(np.random.default_rng(2).standard_normal((12, 20)))
-    net, ref = build_cnn_lstm_toy(seed=8), build_cnn_lstm_toy(seed=8)
-    for n in (net, ref):
-        n.layers[n.last_dense].b[:] = [0.0, 0.0, 0.0, 0.0, 9.0]  # predicts 5
+def count_layer_calls(net):
+    """Per-layer forward call counts, kept up to date as the network runs."""
     calls = [0] * len(net.layers)
     for i, layer in enumerate(net.layers):
         def counted(x, training, _i=i, _f=layer.forward):
             calls[_i] += 1
             return _f(x, training)
         layer.forward = counted
+    return calls
+
+
+def test_front_layers_run_once_per_online_block():
+    # the amend step runs no front layer: only the head, on the last dense
+    # layer's input it is given; the weights match a fine-tune on that input
+    window = toy_window(np.random.default_rng(2).standard_normal((12, 20)))
+    net, ref = build_cnn_lstm_toy(seed=8), build_cnn_lstm_toy(seed=8)
+    for n in (net, ref):
+        n.layers[n.last_dense].b[:] = [0.0, 0.0, 0.0, 0.0, 9.0]  # predicts 5
+    head = window_heads(net, [window])
+    calls = count_layer_calls(net)
     session = CountSession(net, current_count=1)
-    assert amend_and_finetune(session, window, DoorEvent("enter", 0)) == 2
+    assert amend_and_finetune(session, head, DoorEvent("enter", 0)) == 2
     assert session.event_log[-1].action == "finetune"
-    last = net.last_dense  # the front runs once, the head once per step too
-    assert calls == [1] * last + [1 + session.finetune_steps] * (len(net.layers) - last)
+    last = net.last_dense  # the head runs once, and once per step
+    assert calls == [0] * last + [1 + session.finetune_steps] * (len(net.layers) - last)
     assert predict_count(ref, window)[0] == 5
     lr, steps = session.finetune_lr, session.finetune_steps
     finetune_last_dense(ref, ref.forward(window.values[None], stop=ref.last_dense), 2, lr, steps)
     for (name, a, _), (_, b, _) in zip(net.params(), ref.params()):
         assert a.tobytes() == b.tobytes(), name
+
+    # run_online runs each front layer once per block of windows
+    rng = np.random.default_rng(3)
+    for n_windows in (1, ONLINE_BLOCK - 1, ONLINE_BLOCK, ONLINE_BLOCK + 1, 2 * ONLINE_BLOCK + 1):
+        net = build_fcbp(seed=8)
+        calls = count_layer_calls(net)
+        assert len(run_online(CountSession(net), random_capture(rng, 200 * n_windows))) == n_windows
+        blocks = -(-n_windows // ONLINE_BLOCK)
+        last = net.last_dense  # no activity models: no event, no fine-tune
+        assert calls == [blocks] * last + [n_windows] * (len(net.layers) - last), n_windows
 
 
 def test_amend_enter_agreement_skips_finetune():
@@ -314,7 +344,8 @@ def test_amend_enter_agreement_skips_finetune():
     force_prediction(net, 3)
     snapshot = param_snapshot(net)
     session = CountSession(net, current_count=2)
-    result = amend_and_finetune(session, summary_window(np.random.default_rng(1)), DoorEvent("enter", 0))
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    result = amend_and_finetune(session, head, DoorEvent("enter", 0))
     assert result == 3
     assert changed_params(net, snapshot) == set()
     assert session.event_log[-1].action == "skip"
@@ -326,7 +357,8 @@ def test_amend_leave_floors_at_zero():
     net = build_fcbp(seed=6)
     force_prediction(net, 1)
     session = CountSession(net, current_count=0)
-    result = amend_and_finetune(session, summary_window(np.random.default_rng(1)), DoorEvent("leave", 0))
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    result = amend_and_finetune(session, head, DoorEvent("leave", 0))
     assert result == 0
     assert session.current_count == 0
     rec = session.event_log[-1]
@@ -337,7 +369,8 @@ def test_amend_enter_caps_at_five():
     net = build_fcbp(seed=6)
     force_prediction(net, 5)
     session = CountSession(net, current_count=5)
-    result = amend_and_finetune(session, summary_window(np.random.default_rng(1)), DoorEvent("enter", 0))
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    result = amend_and_finetune(session, head, DoorEvent("enter", 0))
     assert result == 5
     rec = session.event_log[-1]
     assert (rec.count_before, rec.count_after, rec.label) == (5, 5, 5)
@@ -348,7 +381,8 @@ def test_amend_leave_decrements():
     net = build_fcbp(seed=6)
     force_prediction(net, 2)
     session = CountSession(net, current_count=3)
-    assert amend_and_finetune(session, summary_window(np.random.default_rng(1)), DoorEvent("leave", 0)) == 2
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    assert amend_and_finetune(session, head, DoorEvent("leave", 0)) == 2
     assert session.event_log[-1].action == "skip"
 
 
@@ -526,3 +560,91 @@ def test_run_online_door_event_session(activity_models):
     final = f"layer{len(net.layers) - 2}"
     assert changed_params(net, snapshot) <= {f"{final}.W", f"{final}.b"}
     assert any(rec.action == "finetune" for rec in session.event_log)
+
+
+def online_one_window_at_a_time(session, capture):
+    """run_online's reference: a batch-1 head per window, then the amend."""
+    amp, _ = split_streams(capture)
+    net = session.network
+    detector = DoorEventDetector()
+    timeline = []
+    for i, window in enumerate(count_windows_from_capture(capture)):
+        end = i * WINDOW_LEN + WINDOW_LEN
+        activity = None
+        if session.hmm_models and end >= ACTIVITY_HISTORY:
+            features = activity_features(amp.data[end - ACTIVITY_HISTORY : end], capture.rate_hz)
+            activity = classify_activity(session.hmm_models, features)
+        event = detector.push(activity)
+        head = net.forward(window.values[None], stop=net.last_dense)
+        count = amend_and_finetune(session, head, event, time_index=i)
+        timeline.append(
+            OnlineStep(i, end, session.event_log[-1].prediction, count, activity, event)
+        )
+    return timeline
+
+
+def record_probabilities(net):
+    """Softmax outputs of every pass through the network's last layer."""
+    seen = []
+    softmax = net.layers[-1]
+    def recorded(x, training, _f=softmax.forward):
+        out = _f(x, training)
+        seen.append(out.copy())
+        return out
+    softmax.forward = recorded
+    return seen
+
+
+@pytest.fixture(scope="module")
+def walk_door_capture():
+    """Walk, door, walk, door: 40 windows with an enter in each door part."""
+    parts = ((_walk_scene, 5), (_door_scene, 6), (_walk_scene, 7), (_door_scene, 8))
+    return concat_captures(
+        [simulate_capture(scene(seed), _DURATION, seed=seed) for scene, seed in parts]
+    )
+
+
+def test_run_online_matches_one_window_at_a_time(activity_models, walk_door_capture):
+    # the block-batched front pass changes only rounding: every decision of
+    # a session that counts each window alone is kept, including the ones a
+    # fine-tune earlier in the same block changes
+    _, models = activity_models
+    full = walk_door_capture
+    for n_windows in (1, ONLINE_BLOCK - 1, ONLINE_BLOCK, ONLINE_BLOCK + 1, 2 * ONLINE_BLOCK + 1):
+        n = n_windows * WINDOW_LEN
+        cap = CsiCapture(
+            full.values[:n], full.timestamps[:n], full.rate_hz, full.n_tx, full.n_rx, full.n_sub
+        )
+        runs = []
+        for go in (run_online, online_one_window_at_a_time):
+            net = build_cnn_lstm(seed=12)
+            net.layers[net.last_dense].b[:] = [0.0, 2.0, 0.0, 0.0, 0.0]  # predicts 2
+            snapshot = param_snapshot(net)
+            probs = record_probabilities(net)
+            session = CountSession(net, hmm_models=models, current_count=2, finetune_lr=1.0)
+            timeline = go(session, cap)
+            runs.append((net, snapshot, probs, session, timeline))
+        (net, snapshot, probs, session, timeline), (ref, ref_snapshot, *ref_run) = runs
+        ref_probs, ref_session, ref_timeline = ref_run
+        assert len(timeline) == n_windows
+        assert timeline == ref_timeline
+        assert [r.action for r in session.event_log] == [r.action for r in ref_session.event_log]
+        assert len(probs) == len(ref_probs)
+        assert max(np.abs(p - q).max() for p, q in zip(probs, ref_probs)) <= 1e-9
+        last = net.layers[net.last_dense]
+        ref_last = ref.layers[ref.last_dense]
+        assert np.abs(last.W - ref_last.W).max() <= 1e-12
+        assert np.abs(last.b - ref_last.b).max() <= 1e-12
+        final = {f"layer{net.last_dense}.W", f"layer{net.last_dense}.b"}
+        assert changed_params(net, snapshot) <= final
+        assert changed_params(ref, ref_snapshot) <= final
+
+    # the longest session fine-tunes in both door parts, and one fine-tune
+    # turns the prediction of the next window inside the same block
+    log = session.event_log
+    tuned = [r.time_index for r in log if r.action == "finetune"]
+    assert len(tuned) >= 2
+    assert any(
+        (j + 1) % ONLINE_BLOCK and log[j].prediction != log[j + 1].prediction == log[j].label
+        for j in tuned
+    )

@@ -546,6 +546,31 @@ def test_forward_runs_a_layer_range():
         Network([Softmax()], input_kind="summary").last_dense
 
 
+def test_inference_forward_keeps_no_backward_cache():
+    # keep_cache=False drops every layer's backward cache as it returns,
+    # with the same outputs; the default still serves a following backward
+    for build, x, labels in (
+        (build_cnn_lstm_toy, TOY_X, TOY_LABELS),
+        (build_fcbp, np.random.default_rng(36).standard_normal((2, 360)), [3, 5]),
+    ):
+        net = build(seed=37)
+        for training in (False, True):  # dropout keeps a mask only in training
+            net.forward(x, training=training, keep_cache=False)
+            assert all(layer._cache is None for layer in net.layers), training
+        assert net.forward(x, keep_cache=False).tobytes() == net.forward(x).tobytes()
+        assert any(layer._cache is not None for layer in net.layers)
+
+        net.zero_grads()
+        probs = net.forward(x)
+        dlogits = probs.copy()
+        dlogits[np.arange(len(labels)), np.asarray(labels) - 1] -= 1.0
+        net.backward(dlogits / len(labels))
+        grads = [g.copy() for _, _, g in net.params()]
+        net.loss_and_gradients(x, labels, training=False)
+        for (name, _, g), ref in zip(net.params(), grads):
+            assert g.tobytes() == ref.tobytes(), name
+
+
 def test_finetune_validates_label():
     net = build_fcbp(seed=31)
     with pytest.raises(ValueError):
