@@ -14,12 +14,10 @@ cli         command-line entry point
 
 __version__ = "0.1.0"
 
-from .capture import CsiCapture, CsiFrame, StreamTensor, read_capture, write_capture
+from .capture import CsiCapture, read_capture, write_capture
 
 __all__ = [
     "CsiCapture",
-    "CsiFrame",
-    "StreamTensor",
     "read_capture",
     "write_capture",
     "__version__",

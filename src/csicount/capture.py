@@ -60,14 +60,6 @@ class NonFiniteValueError(CaptureError):
 
 
 @dataclass(frozen=True)
-class CsiFrame:
-    """One packet's CSI: a (n_streams, n_sub) complex matrix plus its timestamp."""
-
-    values: np.ndarray
-    timestamp: float
-
-
-@dataclass(frozen=True)
 class CsiCapture:
     """An immutable, time-ordered sequence of CSI frames.
 
@@ -99,8 +91,8 @@ class CsiCapture:
     def _validate(self) -> None:
         if min(self.n_tx, self.n_rx, self.n_sub) < 1:
             raise CaptureError("antenna and subcarrier counts must be >= 1")
-        if not self.rate_hz > 0:
-            raise CaptureError(f"rate_hz must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < np.inf:
+            raise CaptureError(f"rate_hz must be positive and finite, got {self.rate_hz}")
         if len(self.label.encode("utf-8")) > 255:
             raise CaptureError("label exceeds 255 UTF-8 bytes")
         if self.values.ndim != 3 or self.values.shape[1:] != (self.n_streams, self.n_sub):
@@ -125,87 +117,19 @@ class CsiCapture:
     def n_frames(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def frames(self) -> list[CsiFrame]:
-        return [
-            CsiFrame(self.values[i], float(self.timestamps[i]))
-            for i in range(self.n_frames)
-        ]
 
-    @classmethod
-    def from_frames(cls, frames, rate_hz=1500.0, n_tx=2, n_rx=3, n_sub=30, label=""):
-        """Build a capture from an iterable of CsiFrame."""
-        frames = list(frames)
-        if frames:
-            values = np.stack([f.values for f in frames])
-            timestamps = np.array([f.timestamp for f in frames], dtype=np.float64)
-        else:
-            values = np.zeros((0, n_tx * n_rx, n_sub), dtype=np.complex64)
-            timestamps = np.zeros(0, dtype=np.float64)
-        return cls(values, timestamps, rate_hz, n_tx, n_rx, n_sub, label)
-
-
-@dataclass(frozen=True)
-class StreamTensor:
-    """A real-valued view of a capture: (n_frames, n_streams * n_sub).
-
-    Column order is stream-major: column s * n_sub + j holds stream s,
-    subcarrier j.  `kind` records whether the tensor carries amplitudes
-    (non-negative) or raw phases (radians in [-pi, pi]).
-    """
-
-    data: np.ndarray
-    kind: str
-    n_streams: int = 6
-    n_sub: int = 30
-
-    def __post_init__(self):
-        if self.kind not in ("amplitude", "phase"):
-            raise ValueError(f"kind must be 'amplitude' or 'phase', got {self.kind!r}")
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != self.n_streams * self.n_sub:
-            raise ValueError(
-                f"data must be (n_frames, {self.n_streams * self.n_sub}), got {data.shape}"
-            )
-        object.__setattr__(self, "data", data)
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[0]
-
-
-def split_streams(capture: CsiCapture) -> tuple[StreamTensor, StreamTensor]:
-    """Split a capture into amplitude and phase tensors.
+def split_streams(capture: CsiCapture) -> tuple[np.ndarray, np.ndarray]:
+    """Split a capture into amplitude and phase matrices.
 
     Amplitudes are |H|, phases are angle(H) in [-pi, pi].  Both are float64
     matrices of shape (n_frames, n_streams * n_sub) in stream-major column
-    order.
+    order: column s * n_sub + j holds stream s, subcarrier j.
     """
     if capture.n_frames == 0:
         raise CaptureError("cannot split an empty capture")
     v = capture.values.astype(np.complex128)
     flat = (capture.n_frames, capture.n_streams * capture.n_sub)
-    amp = np.abs(v).reshape(flat)
-    phase = np.angle(v).reshape(flat)
-    kw = dict(n_streams=capture.n_streams, n_sub=capture.n_sub)
-    return StreamTensor(amp, "amplitude", **kw), StreamTensor(phase, "phase", **kw)
-
-
-def window(tensor, length: int, stride: int) -> list[np.ndarray]:
-    """Slice a tensor into fixed-length windows along the time axis.
-
-    Accepts a StreamTensor or a 2-D array.  Returns copies; the number of
-    windows is (n_frames - length) // stride + 1.  Raises ValueError when
-    not even one full window fits.
-    """
-    data = tensor.data if isinstance(tensor, StreamTensor) else np.asarray(tensor)
-    if length < 1 or stride < 1:
-        raise ValueError("length and stride must be >= 1")
-    n = data.shape[0]
-    if n < length:
-        raise ValueError(f"need at least {length} frames for one window, have {n}")
-    count = (n - length) // stride + 1
-    return [data[i * stride : i * stride + length].copy() for i in range(count)]
+    return np.abs(v).reshape(flat), np.angle(v).reshape(flat)
 
 
 def concat_captures(captures, label: str = "") -> CsiCapture:

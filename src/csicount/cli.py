@@ -72,14 +72,17 @@ NETWORK_BUILDERS = {
     "cnn-lstm-toy": build_cnn_lstm_toy,
     "fcbp": build_fcbp,
 }
+# Per net: (parameters probed per array, eps, input scale, input shape).
 # Sampling keeps the full-size checks inside a small time budget; the toy
-# network is cheap enough to probe every parameter.
-GRADCHECK_SAMPLES = {"cnn-lstm": 25, "fcbp": 60}
-# Central differences on an O(1) loss carry ~1e-11 noise, so the bigger
-# network gets a wider eps; input scale keeps activations away from
-# rectifier boundaries where a one-sided difference would be meaningless.
-GRADCHECK_EPS = {"cnn-lstm": 1e-6, "cnn-lstm-toy": 1e-5, "fcbp": 1e-5}
-GRADCHECK_SCALE = {"cnn-lstm": 1.0, "cnn-lstm-toy": 3.0, "fcbp": 2.0}
+# network is cheap enough to probe every parameter.  Central differences on
+# an O(1) loss carry ~1e-11 noise, so the bigger network gets a wider eps;
+# input scale keeps activations away from rectifier boundaries where a
+# one-sided difference would be meaningless.
+GRADCHECK = {
+    "cnn-lstm": (25, 1e-6, 1.0, (1, 200, 360)),
+    "cnn-lstm-toy": (None, 1e-5, 3.0, (2, 12, 20)),
+    "fcbp": (60, 1e-5, 2.0, (2, 360)),
+}
 
 
 def _setup_logging() -> None:
@@ -130,12 +133,12 @@ def _cmd_preprocess(args) -> int:
     if args.mode == "counting":
         out = np.hstack(
             [
-                weighted_moving_average(amp.data),
-                sanitize_phase(phase.data, capture.n_streams, capture.n_sub),
+                weighted_moving_average(amp),
+                sanitize_phase(phase, capture.n_streams, capture.n_sub),
             ]
         )
     else:
-        filtered = butterworth_lowpass(amp.data, capture.rate_hz, args.cutoff)
+        filtered = butterworth_lowpass(amp, capture.rate_hz, args.cutoff)
         out = pca_denoise(filtered, keep=args.keep)
     write_tensor(out, args.out)
     print(f"out={args.out}")
@@ -148,9 +151,9 @@ def _cmd_features(args) -> int:
     if components.ndim != 2:
         raise ValueError(f"{args.infile}: expected a 2-D tensor")
     matrix = feature_matrix_from_components(components, levels=args.levels)
-    write_tensor(matrix.values, args.out)
+    write_tensor(matrix, args.out)
     print(f"out={args.out}")
-    print(f"shape={matrix.values.shape[0]}x{matrix.values.shape[1]}")
+    print(f"shape={matrix.shape[0]}x{matrix.shape[1]}")
     return 0
 
 
@@ -275,23 +278,11 @@ def _cmd_online(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     network = NETWORK_BUILDERS[args.net](seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    scale = GRADCHECK_SCALE[args.net]
-    if network.input_kind == "summary":
-        x = rng.standard_normal((2, network.layers[0].dim)) * scale
-    elif args.net == "cnn-lstm-toy":
-        x = rng.standard_normal((2, 12, 20)) * scale
-    else:
-        x = rng.standard_normal((1, 200, 360)) * scale
+    samples, default_eps, scale, shape = GRADCHECK[args.net]
+    x = np.random.default_rng(args.seed + 1).standard_normal(shape) * scale
     labels = 1 + np.arange(x.shape[0]) % 5
-    eps = args.eps if args.eps is not None else GRADCHECK_EPS[args.net]
-    err = finite_difference_check(
-        network,
-        x,
-        labels,
-        eps=eps,
-        max_per_array=GRADCHECK_SAMPLES.get(args.net),
-    )
+    eps = args.eps if args.eps is not None else default_eps
+    err = finite_difference_check(network, x, labels, eps=eps, max_per_array=samples)
     print(f"net={args.net}")
     print(f"max_rel_err={err:.3e}")
     if not err < args.tol:

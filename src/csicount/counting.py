@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .capture import CsiCapture, StreamTensor, split_streams
+from .capture import CsiCapture, split_streams
 from .hmm import ActivityLabel, DoorEvent, DoorEventDetector, classify_activity
 from .neural import Network, finetune_last_dense
 from .preprocess import (
@@ -97,8 +97,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -139,7 +139,7 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
     Returns (network, per-iteration loss list).  "Best" is judged by the
     mean batch loss of each pass over the data, and the parameter vector
     from the end of the best pass is restored before returning.  A
-    non-finite loss aborts with RuntimeError.
+    non-finite layer output aborts with RuntimeError.
     """
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
@@ -159,10 +159,13 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
                 break
             sel = order[start : start + config.batch_size]
             x = _inputs(network, [windows[i] for i in sel])
-            loss, _ = network.loss_and_gradients(x, labels[sel], training=True)
-            if not np.isfinite(loss):
-                raise RuntimeError(f"training diverged at iteration {iteration}: loss={loss}")
-            network.sgd_step(config.learning_rate)
+            # overflow surfaces as the forward pass's non-finite output error
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss, _ = network.loss_and_gradients(x, labels[sel], training=True)
+                except FloatingPointError as exc:
+                    raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from exc
+                network.sgd_step(config.learning_rate)
             losses.append(float(loss))
             epoch.append(float(loss))
             iteration += 1
@@ -244,8 +247,8 @@ class CountSession:
     def __post_init__(self):
         if not 0 <= self.current_count <= N_CLASSES:
             raise ValueError(f"current_count must be in 0..{N_CLASSES}")
-        if self.finetune_lr <= 0 or self.finetune_steps < 1:
-            raise ValueError("fine-tune settings must be positive")
+        if not 0 < self.finetune_lr < np.inf or self.finetune_steps < 1:
+            raise ValueError("fine-tune settings must be positive and finite")
 
 
 def amend_and_finetune(
@@ -294,19 +297,19 @@ def amend_and_finetune(
     return expected
 
 
-def _count_windows(amp: StreamTensor, phase: StreamTensor, window_len: int, stride: int):
-    """Standardized count windows of split streams, built as they are drawn.
+def _count_windows(capture: CsiCapture, amp, phase, window_len: int, stride: int):
+    """Standardized count windows of a capture's split streams, built as drawn.
 
     Amplitude is smoothed with the weighted moving average and phase is
     sanitized once over the whole capture (both are causal/per-sample, so
     this matches streaming); each non-overlapping window is then
     standardized per column.
     """
-    n_frames = amp.n_frames
+    n_frames = amp.shape[0]
     if n_frames < window_len:
         raise ValueError(f"capture has {n_frames} frames; needs at least {window_len}")
-    amp_s = weighted_moving_average(amp.data)
-    phase_s = sanitize_phase(phase.data, amp.n_streams, amp.n_sub)
+    amp_s = weighted_moving_average(amp)
+    phase_s = sanitize_phase(phase, capture.n_streams, capture.n_sub)
     return (
         build_count_sample(amp_s[start : start + window_len], phase_s[start : start + window_len])
         for start in range(0, n_frames - window_len + 1, stride)
@@ -319,7 +322,7 @@ def count_windows_from_capture(
     """Cut a capture into standardized count windows (see _count_windows)."""
     amp, phase = split_streams(capture)
     stride = window_len if stride is None else stride
-    return list(_count_windows(amp, phase, window_len, stride))
+    return list(_count_windows(capture, amp, phase, window_len, stride))
 
 
 def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
@@ -338,12 +341,12 @@ def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
     matrix = feature_matrix_from_components(
         components, levels=ACTIVITY_LEVELS, window=ACTIVITY_FEATURE_WINDOW
     )
-    return matrix.values.T.copy()
+    return matrix.T.copy()
 
 
 def activity_features_from_capture(capture: CsiCapture) -> np.ndarray:
     amp, _ = split_streams(capture)
-    return activity_features(amp.data, capture.rate_hz)
+    return activity_features(amp, capture.rate_hz)
 
 
 @dataclass(frozen=True)
@@ -370,7 +373,7 @@ def run_online(session: CountSession, capture: CsiCapture) -> list:
     accumulated carry activity None.
     """
     amp, phase = split_streams(capture)
-    windows = _count_windows(amp, phase, WINDOW_LEN, WINDOW_LEN)
+    windows = _count_windows(capture, amp, phase, WINDOW_LEN, WINDOW_LEN)
     detector = DoorEventDetector()
     timeline = []
     i = 0
@@ -379,7 +382,7 @@ def run_online(session: CountSession, capture: CsiCapture) -> list:
             end = i * WINDOW_LEN + WINDOW_LEN
             activity = None
             if session.hmm_models and end >= ACTIVITY_HISTORY:
-                history = amp.data[end - ACTIVITY_HISTORY : end]
+                history = amp[end - ACTIVITY_HISTORY : end]
                 features = activity_features(history, capture.rate_hz)
                 activity = classify_activity(session.hmm_models, features)
             event = detector.push(activity)

@@ -149,27 +149,6 @@ def log_likelihood(model: GaussianHmm, obs) -> float:
     return total
 
 
-def viterbi(model: GaussianHmm, obs) -> np.ndarray:
-    """Most likely state path; ties resolve toward the lower state index."""
-    x = _check_obs(model, obs)
-    logb = _log_densities(model, x)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(model.initial)
-        log_trans = np.log(model.transition)
-    t_len, s = logb.shape
-    delta = log_init + logb[0]
-    back = np.zeros((t_len, s), dtype=np.int64)
-    for t in range(1, t_len):
-        scores = delta[:, None] + log_trans
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(s)] + logb[t]
-    path = np.empty(t_len, dtype=np.int64)
-    path[-1] = int(np.argmax(delta))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
-
-
 def _kmeans_init(frames: np.ndarray, k: int, rng) -> np.ndarray:
     """A few Lloyd iterations from a seeded random subset of frames."""
     n = frames.shape[0]
@@ -300,24 +279,6 @@ def fit_hmm(
     return model
 
 
-def sample_hmm(model: GaussianHmm, length: int, seed: int = 0):
-    """Draw (observations, states) from the model's own generative process."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = np.random.default_rng(seed)
-    states = np.empty(length, dtype=np.int64)
-    obs = np.empty((length, model.n_features))
-    state = rng.choice(model.n_states, p=model.initial)
-    for t in range(length):
-        if t > 0:
-            state = rng.choice(model.n_states, p=model.transition[state])
-        states[t] = state
-        obs[t] = model.means[state] + rng.standard_normal(model.n_features) * np.sqrt(
-            model.variances[state]
-        )
-    return obs, states
-
-
 def classify_activity(models, obs) -> ActivityLabel:
     """Label of the model with the highest log-likelihood for `obs`.
 
@@ -374,17 +335,6 @@ class DoorEventDetector:
             kind = "enter" if label is ActivityLabel.ENTERING_ROOM else "leave"
             return DoorEvent(kind, self._index)
         return None
-
-
-def detect_door_events(labels, debounce: int = 3) -> list[DoorEvent]:
-    """Run the debouncer over a full label sequence."""
-    detector = DoorEventDetector(debounce)
-    events = []
-    for label in labels:
-        event = detector.push(label)
-        if event is not None:
-            events.append(event)
-    return events
 
 
 def save_hmm(model: GaussianHmm, path) -> None:

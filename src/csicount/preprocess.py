@@ -53,28 +53,6 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
     return out[:, 0] if squeeze else out
 
 
-def _centered_eigh(matrix):
-    """(column-centered H, eigenvalues descending, matching eigenvectors of H^T H)."""
-    h = np.asarray(matrix, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 2:
-        raise ValueError("need a 2-D matrix with at least two rows")
-    h = h - h.mean(axis=0)
-    eigenvalues, q = np.linalg.eigh(h.T @ h)
-    order = np.argsort(eigenvalues)[::-1]
-    return h, eigenvalues[order], q[:, order]
-
-
-def pca_components(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal components of the column-centered matrix, strongest first.
-
-    Returns (components, eigenvalues) where components[:, i] = H @ q_i for
-    the eigenvectors q_i of Z = H^T H (H column-centered), and eigenvalues
-    are sorted descending.  The eigenvalue sum equals trace(Z).
-    """
-    h, eigenvalues, q = _centered_eigh(matrix)
-    return h @ q, eigenvalues
-
-
 def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
     """Drop the dominant component, keep the next `keep`, median filter.
 
@@ -82,9 +60,14 @@ def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
     shared by all CSI columns and is discarded; the returned matrix holds
     components 2 .. keep+1, each smoothed with a 5-point median filter.
     """
-    h, _, q = _centered_eigh(matrix)
+    h = np.asarray(matrix, dtype=np.float64)
+    if h.ndim != 2 or h.shape[0] < 2:
+        raise ValueError("need a 2-D matrix with at least two rows")
     if not 1 <= keep <= h.shape[1] - 1:
         raise ValueError(f"keep must be in 1..{h.shape[1] - 1}")
+    h = h - h.mean(axis=0)
+    eigenvalues, q = np.linalg.eigh(h.T @ h)
+    q = q[:, np.argsort(eigenvalues)[::-1]]
     return median_filter(h @ q[:, 1 : keep + 1], size=(5, 1), mode="nearest")
 
 
@@ -112,18 +95,6 @@ def weighted_moving_average(series, m: int = 100):
     denom = m * (lags + 1) - lags * (lags + 1) / 2.0  # sum of m, m-1, .., m-lags
     out = num / denom[:, None]
     return out[:, 0] if squeeze else out
-
-
-def unwrap(phases: np.ndarray) -> np.ndarray:
-    """1-D phase unwrap: successive differences folded into (-pi, pi].
-
-    The first element is unchanged and every output differs from its input
-    by an integer multiple of 2 pi.
-    """
-    p = np.asarray(phases, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("unwrap expects a 1-D array")
-    return np.unwrap(p)
 
 
 def sanitize_phase(phase_matrix: np.ndarray, n_streams: int = 6, n_sub: int = 30) -> np.ndarray:

@@ -133,6 +133,8 @@ def simulate_capture(
     Deterministic for a given (scene, duration, rate, seed).  The returned
     capture is labeled with the scene's person count.
     """
+    if not (np.isfinite(duration) and 0 < rate_hz < np.inf):
+        raise ValueError("duration must be finite and rate_hz positive and finite")
     n_frames = int(np.floor(duration * rate_hz))
     if n_frames < 1:
         raise ValueError("duration * rate_hz must cover at least one frame")
@@ -294,27 +296,3 @@ def load_scene(path) -> Scene:
         subcarrier_spacing_hz=params["spacing_hz"],
         noise_sigma=params["noise_sigma"],
     )
-
-
-def save_scene(scene: Scene, path) -> None:
-    """Write a scene in the format understood by load_scene."""
-    lines = [
-        f"carrier_hz {scene.carrier_hz!r}",
-        f"spacing_hz {scene.subcarrier_spacing_hz!r}",
-        f"noise_sigma {scene.noise_sigma!r}",
-    ]
-
-    def path_line(p: Path) -> str:
-        return (
-            f"path {p.attenuation.real!r} {p.attenuation.imag!r} "
-            f"{p.initial_delay!r} {p.velocity!r} {p.stream_delay_step!r}"
-        )
-
-    for p in scene.static_paths:
-        lines.append(path_line(p))
-    for person in scene.persons:
-        lines.append("person")
-        lines.extend(path_line(p) for p in person)
-        lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -108,26 +108,11 @@ def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """(2 * levels, n_windows) matrix: energy rows then variance rows per level.
-
-    Row l-1 is the energy of level l; row levels + l - 1 its variance.
-    """
-
-    values: np.ndarray
-
-    @property
-    def levels(self) -> int:
-        return self.values.shape[0] // 2
-
-    @property
-    def n_windows(self) -> int:
-        return self.values.shape[1]
-
-
-def extract_features(decomp: WaveletDecomposition, window: int = 128) -> FeatureMatrix:
+def extract_features(decomp: WaveletDecomposition, window: int = 128) -> np.ndarray:
     """Per-level energy and variance of squared details over time windows.
+
+    Returns a (2 * levels, n_windows) matrix: row l-1 is the energy of level
+    l, row levels + l - 1 its variance.
 
     Window j covers original samples [j * window, (j + 1) * window); detail
     coefficient n at level l is assigned to the window containing sample
@@ -155,12 +140,12 @@ def extract_features(decomp: WaveletDecomposition, window: int = 128) -> Feature
         fill = np.searchsorted(pos[starts], np.arange(n_windows), side="right")
         for row, runs in ((lv - 1, energy), (levels + lv - 1, variance)):
             values[row] = np.vstack([np.zeros_like(runs[:1]), runs])[fill].mean(axis=1)
-    return FeatureMatrix(values)
+    return values
 
 
 def feature_matrix_from_components(
     components: np.ndarray, levels: int = 10, window: int = 128
-) -> FeatureMatrix:
+) -> np.ndarray:
     """Average the feature matrices of several component signals.
 
     `components` is (n_samples, n_components); one cascade decomposes all
@@ -172,10 +157,3 @@ def feature_matrix_from_components(
     if comp.ndim != 2 or comp.shape[1] < 1:
         raise ValueError("need at least one component")
     return extract_features(_cascade(comp, levels), window)
-
-
-def level_band(rate_hz: float, level: int) -> tuple[float, float]:
-    """Frequency band (lo, hi) in Hz summarized by detail level `level`."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return rate_hz / 2 ** (level + 1), rate_hz / 2**level

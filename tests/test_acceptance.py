@@ -40,14 +40,17 @@ from csicount.hmm import (
     classify_activity,
     fit_hmm,
     log_likelihood,
-    viterbi,
+    save_hmm,
 )
 from csicount.neural import (
     Dense,
+    Network,
+    Softmax,
     build_cnn_lstm,
     build_cnn_lstm_toy,
     build_fcbp,
     finite_difference_check,
+    save_network,
 )
 from csicount.preprocess import sanitize_phase
 from csicount.sim import (
@@ -58,6 +61,7 @@ from csicount.sim import (
     make_count_scene,
     simulate_capture,
 )
+from csicount.tensorfile import write_tensor
 from csicount.wavelet import dwt_decompose, dwt_reconstruct
 
 
@@ -93,6 +97,50 @@ def test_binary_round_trip_is_bit_exact_at_scale(tmp_path):
     assert time.monotonic() - started < 10.0
 
 
+def test_file_formats_are_pinned_byte_for_byte(tmp_path):
+    # hand-built files compared with the exact bytes the formats define, so
+    # a writer and reader that drift together still fail here
+    cap = CsiCapture(
+        np.array([[[1 + 2j, -0.5]], [[0.25 - 1j, 3 + 0.5j]]], dtype=np.complex64),
+        [0.0, 0.5], 2.0, 1, 1, 2, "ab",
+    )
+    write_capture(cap, tmp_path / "a.csic")
+    write_tensor(np.array([[1.0, -2.0, 0.5], [0.0, 4.0, -0.25]]), tmp_path / "a.csit")
+    model = GaussianHmm([1.0], [[1.0]], [[0.5, -1.0]], [[2.0, 0.25]], label="W")
+    save_hmm(model, tmp_path / "a.hmm")
+    net = Network([Dense(2, 2), Softmax()], seed=3)
+    net.set_param_vector(np.array([1.0, -1.0, 0.5, 2.0, 0.25, -0.75]))
+    save_network(net, tmp_path / "a.csnn")
+
+    csic = bytes.fromhex(
+        "43534943" "0100" "0100" "0100" "0200" "00000040" "0200000000000000" "02" "6162"
+        "0000000000000000" "0000803f" "00000040" "000000bf" "00000000"
+        "000000000000e03f" "0000803e" "000080bf" "00004040" "0000003f"
+    )
+    csit = bytes.fromhex(
+        "43534954" "0100" "02" "0200000000000000" "0300000000000000"
+        "000000000000f03f" "00000000000000c0" "000000000000e03f"
+        "0000000000000000" "0000000000001040" "000000000000d0bf"
+    )
+    hmm = bytes.fromhex(
+        "43534948" "0100" "0100" "0200" "01" "57"
+        "000000000000f03f" "000000000000f03f" "000000000000e03f" "000000000000f0bf"
+        "0000000000000040" "000000000000d03f"
+    )
+    arch = (
+        b'{"input_kind": "sequence", "seed": 3, "layers": [{"kind": "dense", "in_dim": 2, '
+        b'"out_dim": 2, "activation": "linear", "trace": true}, '
+        b'{"kind": "softmax", "trace": false}]}'
+    )
+    csnn = b"CSNN\x01\x00\xab\x00\x00\x00" + arch + bytes.fromhex(
+        "000000000000f03f" "000000000000f0bf" "000000000000e03f"
+        "0000000000000040" "000000000000d03f" "000000000000e8bf"
+    )
+    expected = {"a.csic": csic, "a.csit": csit, "a.hmm": hmm, "a.csnn": csnn}
+    for name, data in expected.items():
+        assert (tmp_path / name).read_bytes() == data, name
+
+
 # ----------------------------------------------------------- phase cleanup
 
 
@@ -118,7 +166,7 @@ def test_sanitization_removes_random_calibration_errors():
         )
         bad = inject_phase_offsets(base, distortion, seed=trial)
         _, phase = split_streams(bad)
-        clean = sanitize_phase(phase.data)
+        clean = sanitize_phase(phase)
         stream_mean = clean.reshape(clean.shape[0], 6, 30).mean(axis=1)
         slope = (stream_mean @ jc) / (jc @ jc)
         assert np.max(np.abs(slope)) < 1e-9
@@ -196,9 +244,9 @@ def _enumerate_paths(model, x):
 
 
 def test_hmm_inference_matches_enumeration_at_scale():
-    # 50 random small models: the forward likelihood and the decoded path
-    # agree with brute-force summation/maximization over all state paths,
-    # and refinement never decreases the data likelihood
+    # 50 random small models: the forward likelihood agrees with
+    # brute-force summation over all state paths, and refinement never
+    # decreases the data likelihood
     rng = np.random.default_rng(4)
     started = time.monotonic()
     for _ in range(50):
@@ -209,9 +257,6 @@ def test_hmm_inference_matches_enumeration_at_scale():
         x = rng.standard_normal((t, d))
         scored = _enumerate_paths(model, x)
         assert abs(log_likelihood(model, x) - logsumexp([lp for lp, _ in scored])) < 1e-8
-        best_lp = max(lp for lp, _ in scored)
-        best_path = min(path for lp, path in scored if lp == best_lp)
-        assert tuple(viterbi(model, x)) == best_path
     for fit_seed in range(5):
         data = np.concatenate(
             [

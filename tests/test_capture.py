@@ -1,4 +1,4 @@
-"""Capture container, binary round trips, and stream/window helpers."""
+"""Capture container, binary round trips, and stream extraction."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,12 @@ from csicount.capture import (
     BadMagicError,
     CaptureError,
     CsiCapture,
-    CsiFrame,
     NonFiniteValueError,
     TruncatedFileError,
     UnsupportedVersionError,
     concat_captures,
     read_capture,
     split_streams,
-    window,
     write_capture,
 )
 from csicount.capture import _HEADER
@@ -57,7 +55,7 @@ def test_label_adds_its_utf8_length(tmp_path):
 
 
 def test_empty_capture_round_trip(tmp_path):
-    cap = CsiCapture.from_frames([], label="idle")
+    cap = CsiCapture(np.zeros((0, 6, 30), np.complex64), np.zeros(0), label="idle")
     path = tmp_path / "empty.csic"
     write_capture(cap, path)
     assert path.stat().st_size == 25 + 4
@@ -167,6 +165,9 @@ def test_constructor_validation():
         CsiCapture(bad, np.array([0.0, 1.0]))
     with pytest.raises(CaptureError):
         CsiCapture(good, np.array([0.0, 1.0]), label="x" * 256)
+    for rate in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(CaptureError, match="rate_hz"):
+            CsiCapture(good, np.array([0.0, 1.0]), rate_hz=rate)
 
 
 # ---------------------------------------------------------------- streams
@@ -178,80 +179,28 @@ def test_split_amp_phase_values():
     values[0, 1, 5] = -1 + 0j
     cap = CsiCapture(values, np.array([0.0]))
     amp, phase = split_streams(cap)
-    assert amp.kind == "amplitude" and phase.kind == "phase"
-    assert amp.data.shape == (1, 180) and phase.data.shape == (1, 180)
-    assert np.isclose(amp.data[0, 0], 5.0)
-    assert np.isclose(phase.data[0, 0], 0.9272952180016122)
+    assert amp.shape == (1, 180) and phase.shape == (1, 180)
+    assert amp.dtype == phase.dtype == np.float64
+    assert np.isclose(amp[0, 0], 5.0)
+    assert np.isclose(phase[0, 0], 0.9272952180016122)
     # column order is stream-major: stream 1, subcarrier 5 -> column 35
-    assert np.isclose(phase.data[0, 1 * 30 + 5], np.pi)
+    assert np.isclose(phase[0, 1 * 30 + 5], np.pi)
 
 
 def test_split_recombines_to_input():
     rng = np.random.default_rng(8)
     cap = random_capture(rng, 16)
     amp, phase = split_streams(cap)
-    rebuilt = (amp.data * np.exp(1j * phase.data)).reshape(16, 6, 30)
+    rebuilt = (amp * np.exp(1j * phase)).reshape(16, 6, 30)
     orig = cap.values.astype(np.complex128)
     err = np.abs(rebuilt - orig) / np.maximum(np.abs(orig), 1e-300)
     assert err.max() < 1e-12
 
 
 def test_split_empty_capture_errors():
-    cap = CsiCapture.from_frames([])
+    cap = CsiCapture(np.zeros((0, 6, 30), np.complex64), np.zeros(0))
     with pytest.raises(CaptureError):
         split_streams(cap)
-
-
-def test_frames_property_round_trip():
-    rng = np.random.default_rng(9)
-    cap = random_capture(rng, 4, label="x")
-    back = CsiCapture.from_frames(cap.frames, label="x")
-    assert np.array_equal(back.values, cap.values)
-    assert np.array_equal(back.timestamps, cap.timestamps)
-    frame = cap.frames[2]
-    assert isinstance(frame, CsiFrame)
-    assert frame.timestamp == cap.timestamps[2]
-
-
-# ---------------------------------------------------------------- windows
-
-
-def test_window_counts():
-    data = np.arange(1000.0)[:, None] * np.ones((1, 180))
-    wins = window(data, 200, 100)
-    assert len(wins) == 9
-    assert all(w.shape == (200, 180) for w in wins)
-    assert np.array_equal(wins[3][:, 0], np.arange(300.0, 500.0))
-
-
-def test_window_too_short_errors():
-    data = np.zeros((199, 180))
-    with pytest.raises(ValueError):
-        window(data, 200, 200)
-
-
-def test_window_concatenation_recovers_prefix():
-    rng = np.random.default_rng(10)
-    data = rng.standard_normal((1030, 12))
-    wins = window(data, 100, 100)
-    assert len(wins) == 10
-    assert np.array_equal(np.concatenate(wins), data[:1000])
-
-
-def test_window_accepts_stream_tensor():
-    rng = np.random.default_rng(11)
-    cap = random_capture(rng, 64)
-    amp, _ = split_streams(cap)
-    wins = window(amp, 32, 16)
-    assert len(wins) == 3
-    assert np.array_equal(wins[0], amp.data[:32])
-
-
-def test_window_bad_args():
-    with pytest.raises(ValueError):
-        window(np.zeros((10, 4)), 0, 1)
-    with pytest.raises(ValueError):
-        window(np.zeros((10, 4)), 4, 0)
 
 
 # ---------------------------------------------------------------- concat

@@ -12,7 +12,6 @@ import pytest
 import csicount
 from csicount.cli import main
 from csicount.neural import build_fcbp, save_network
-from csicount.sim import make_count_scene, save_scene
 from csicount.tensorfile import read_tensor, write_tensor
 
 
@@ -70,6 +69,19 @@ def test_runtime_failure_prints_one_line_diagnostic(capsys, tmp_path):
     assert captured.err.startswith("error: ")
     assert len(captured.err.strip().splitlines()) == 1
 
+    # non-finite rates and durations, from the command line or a file header
+    out = str(tmp_path / "x.csic")
+    for flag in ("--rate", "--duration"):
+        argv = ["simulate", "--duration", "1", flag, "inf", "--out", out]
+        assert_one_line_error(capsys, argv, "finite")
+    cap, _ = simulate(capsys, tmp_path, "inf.csic", persons=1, duration=0.2, seed=1)
+    raw = bytearray(cap.read_bytes())
+    raw[12:16] = np.float32(np.inf).tobytes()  # rate_hz in the 25-byte header
+    cap.write_bytes(bytes(raw))
+    for mode in ("activity", "counting"):
+        argv = ["preprocess", "--mode", mode, "--in", str(cap), "--out", out]
+        assert_one_line_error(capsys, argv, "rate_hz")
+
 
 def assert_one_line_error(capsys, argv, needle):
     code = main(argv)
@@ -113,7 +125,12 @@ def test_simulate_is_byte_deterministic(capsys, tmp_path):
 
 def test_simulate_from_scene_file(capsys, tmp_path):
     scene_path = tmp_path / "room.scene"
-    save_scene(make_count_scene(2, seed=0), scene_path)
+    scene_path.write_text(
+        "noise_sigma 0.01\n"
+        "path 1.0 0.0 1e-8 0.0 1e-10\n"
+        "person\npath 0.3 0.1 2e-8 0.5\nend\n"
+        "person\npath 0.2 -0.1 3e-8 -0.7 2e-10\npath 0.1 0.0 4e-8 1.1\nend\n"
+    )
     code, kv, _ = run_cli(
         capsys,
         "simulate",
@@ -317,6 +334,14 @@ def test_train_count_rejects_bad_manifest(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert "non-empty 'items' list" in captured.err
+
+    # learning rates that are not finite, or so large that training diverges
+    cap, _ = simulate(capsys, tmp_path, "one.csic", persons=1, duration=0.2, seed=1)
+    manifest.write_text(json.dumps({"items": [{"path": cap.name, "label": 1}]}))
+    for lr, needle in (("nan", "learning_rate"), ("inf", "learning_rate"), ("1e200", "diverged")):
+        argv = ["train-count", "--data", str(manifest), "--net", "fcbp", "--lr", lr,
+                "--iters", "5", "--batch", "1", "--out", str(tmp_path / "n")]
+        assert_one_line_error(capsys, argv, needle)
 
 
 # ---------------------------------------------------------------- gradcheck

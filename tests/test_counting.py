@@ -121,8 +121,9 @@ def test_regime_table():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(max_iterations=0)
 
@@ -198,7 +199,7 @@ def test_train_divergence_raises():
     rng = np.random.default_rng(3)
     ds = Dataset([(summary_window(rng, scale=1e3), k % 5 + 1) for k in range(16)])
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises((RuntimeError, FloatingPointError)):
+        with pytest.raises(RuntimeError, match="training diverged at iteration"):
             train(
                 build_fcbp(seed=0),
                 ds,
@@ -257,8 +258,9 @@ def test_session_validation():
     # than one (9 -> 5 on an enter)
     with pytest.raises(ValueError, match="0..5"):
         CountSession(net, current_count=6)
-    with pytest.raises(ValueError):
-        CountSession(net, finetune_lr=0.0)
+    for lr in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            CountSession(net, finetune_lr=lr)
     with pytest.raises(ValueError):
         CountSession(net, finetune_steps=0)
 
@@ -572,7 +574,7 @@ def online_one_window_at_a_time(session, capture):
         end = i * WINDOW_LEN + WINDOW_LEN
         activity = None
         if session.hmm_models and end >= ACTIVITY_HISTORY:
-            features = activity_features(amp.data[end - ACTIVITY_HISTORY : end], capture.rate_hz)
+            features = activity_features(amp[end - ACTIVITY_HISTORY : end], capture.rate_hz)
             activity = classify_activity(session.hmm_models, features)
         event = detector.push(activity)
         head = net.forward(window.values[None], stop=net.last_dense)

@@ -13,13 +13,10 @@ from csicount.hmm import (
     DoorEventDetector,
     GaussianHmm,
     classify_activity,
-    detect_door_events,
     fit_hmm,
     load_hmm,
     log_likelihood,
-    sample_hmm,
     save_hmm,
-    viterbi,
 )
 
 W = ActivityLabel.WALKING
@@ -37,6 +34,28 @@ def random_model(rng, n_states, dim, label=""):
         rng.uniform(0.5, 2.0, (n_states, dim)),
         label=label,
     )
+
+
+def draw_from_hmm(model, length, seed=0):
+    """Draw (observations, states) from the model's own generative process."""
+    rng = np.random.default_rng(seed)
+    states = np.empty(length, dtype=np.int64)
+    obs = np.empty((length, model.n_features))
+    state = rng.choice(model.n_states, p=model.initial)
+    for t in range(length):
+        if t > 0:
+            state = rng.choice(model.n_states, p=model.transition[state])
+        states[t] = state
+        obs[t] = model.means[state] + rng.standard_normal(model.n_features) * np.sqrt(
+            model.variances[state]
+        )
+    return obs, states
+
+
+def door_events(labels, debounce=3):
+    """Every event a DoorEventDetector fires over a label sequence."""
+    detector = DoorEventDetector(debounce)
+    return [e for e in map(detector.push, labels) if e is not None]
 
 
 def frame_log_densities(model, x):
@@ -151,54 +170,7 @@ def test_observation_validation():
         log_likelihood(model, bad)
 
 
-# ------------------------------------------------------------ viterbi
-
-
-def test_viterbi_matches_brute_force():
-    rng = np.random.default_rng(4)
-    for _ in range(10):
-        s = int(rng.integers(2, 4))
-        model = random_model(rng, s, 2)
-        x = rng.standard_normal((int(rng.integers(2, 7)), 2))
-        scored = enumerate_paths(model, x)
-        best_lp = max(lp for lp, _ in scored)
-        best_path = min(path for lp, path in scored if lp == best_lp)
-        got = viterbi(model, x)
-        logb = frame_log_densities(model, x)
-        got_lp = np.log(model.initial[got[0]]) + logb[0, got[0]]
-        for t in range(1, len(got)):
-            got_lp += np.log(model.transition[got[t - 1], got[t]]) + logb[t, got[t]]
-        assert abs(got_lp - best_lp) < 1e-8
-        assert tuple(got) == best_path
-
-
-def test_viterbi_tie_prefers_lower_state():
-    # fully symmetric model: every path ties, the lower state index wins
-    model = GaussianHmm(
-        np.array([0.5, 0.5]),
-        np.full((2, 2), 0.5),
-        np.zeros((2, 1)),
-        np.ones((2, 1)),
-    )
-    path = viterbi(model, np.zeros((5, 1)))
-    assert np.array_equal(path, np.zeros(5, dtype=np.int64))
-
-
-def test_viterbi_beats_random_paths():
-    rng = np.random.default_rng(5)
-    model = random_model(rng, 3, 2)
-    x = rng.standard_normal((20, 2))
-    logb = frame_log_densities(model, x)
-
-    def path_lp(path):
-        lp = np.log(model.initial[path[0]]) + logb[0, path[0]]
-        for t in range(1, len(path)):
-            lp += np.log(model.transition[path[t - 1], path[t]]) + logb[t, path[t]]
-        return lp
-
-    best = path_lp(viterbi(model, x))
-    for _ in range(1000):
-        assert path_lp(rng.integers(0, 3, 20)) <= best + 1e-12
+# ------------------------------------------------------- segmentation
 
 
 def test_two_regime_change_point():
@@ -207,7 +179,7 @@ def test_two_regime_change_point():
         [rng.normal(0.0, 0.3, 40), rng.normal(4.0, 0.3, 40)]
     )[:, None]
     model = fit_hmm([x], n_states=2, seed=0)
-    path = viterbi(model, x)
+    path = np.argmax(frame_log_densities(model, x), axis=1)  # per-frame decoding
     changes = np.flatnonzero(np.diff(path) != 0)
     assert len(changes) == 1
     assert abs(int(changes[0]) + 1 - 40) <= 1
@@ -256,7 +228,7 @@ def loop_transition_update(model, seqs):
 def test_transition_update_matches_per_step_loop(n_states, t_len):
     rng = np.random.default_rng(n_states * t_len)
     truth = random_model(rng, n_states, 2)
-    seqs = [sample_hmm(truth, t_len, seed=s)[0] for s in range(2)]
+    seqs = [draw_from_hmm(truth, t_len, seed=s)[0] for s in range(2)]
     start = fit_hmm(seqs, n_states=n_states, max_iter=0, seed=3)  # the initialization
     step = fit_hmm(seqs, n_states=n_states, max_iter=1, seed=3)  # one re-estimation
     assert start.fit_log_likelihoods == [] and len(step.fit_log_likelihoods) == 1
@@ -267,7 +239,7 @@ def test_transition_update_matches_per_step_loop(n_states, t_len):
 def test_fit_models_validate_and_likelihood_never_drops():
     rng = np.random.default_rng(12)
     truth = random_model(rng, 3, 2)
-    seqs = [sample_hmm(truth, 120, seed=s)[0] for s in range(3)]
+    seqs = [draw_from_hmm(truth, 120, seed=s)[0] for s in range(3)]
     model = fit_hmm(seqs, n_states=3, max_iter=30, tol=0.0, seed=2)
     model.validate()
     lls = model.fit_log_likelihoods
@@ -321,21 +293,6 @@ def test_model_parameter_validation():
         GaussianHmm(**{**ok, "variances": np.full((1, 2), 1e-9)})
 
 
-# ------------------------------------------------------------ sampling
-
-
-def test_sample_hmm_deterministic_and_shaped():
-    rng = np.random.default_rng(10)
-    model = random_model(rng, 3, 2)
-    obs_a, states_a = sample_hmm(model, 50, seed=3)
-    obs_b, states_b = sample_hmm(model, 50, seed=3)
-    assert np.array_equal(obs_a, obs_b) and np.array_equal(states_a, states_b)
-    assert obs_a.shape == (50, 2)
-    assert states_a.min() >= 0 and states_a.max() < 3
-    obs_c, _ = sample_hmm(model, 50, seed=4)
-    assert not np.array_equal(obs_a, obs_c)
-
-
 # -------------------------------------------------------- classification
 
 
@@ -378,7 +335,7 @@ def test_classify_self_consistency():
     trials = 100
     for k in range(trials):
         lab = ActivityLabel.WALKING if k % 2 else ActivityLabel.RUNNING
-        obs, _ = sample_hmm(models[lab], 30, seed=k)
+        obs, _ = draw_from_hmm(models[lab], 30, seed=k)
         hits += classify_activity(models, obs) is lab
     assert hits / trials >= 0.95
 
@@ -402,28 +359,28 @@ def test_classify_requires_models():
 
 
 def test_debounce_three_in_a_row_fires_once():
-    events = detect_door_events([W, W, O, O, O, W], debounce=3)
+    events = door_events([W, W, O, O, O, W], debounce=3)
     assert events == [DoorEvent("enter", 4)]
 
 
 def test_no_door_labels_no_events():
-    assert detect_door_events([W] * 10) == []
+    assert door_events([W] * 10) == []
 
 
 def test_run_shorter_than_debounce_no_event():
-    assert detect_door_events([O, O], debounce=3) == []
+    assert door_events([O, O], debounce=3) == []
 
 
 def test_requires_rearm_after_firing():
     # a second event needs a non-door label in between
-    events = detect_door_events([O, O, O, O, O, O], debounce=3)
+    events = door_events([O, O, O, O, O, O], debounce=3)
     assert events == [DoorEvent("enter", 2)]
-    events = detect_door_events([O, O, O, W, O, O, O], debounce=3)
+    events = door_events([O, O, O, W, O, O, O], debounce=3)
     assert events == [DoorEvent("enter", 2), DoorEvent("enter", 6)]
 
 
 def test_door_label_switch_restarts_run():
-    events = detect_door_events([O, O, L, L, L], debounce=3)
+    events = door_events([O, O, L, L, L], debounce=3)
     assert events == [DoorEvent("leave", 4)]
 
 

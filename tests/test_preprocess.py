@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 from scipy.ndimage import median_filter
 
-from csicount.capture import split_streams, window
+from csicount.capture import split_streams
 from csicount.preprocess import (
     build_count_sample,
     butterworth_lowpass,
-    pca_components,
     pca_denoise,
     sanitize_phase,
-    unwrap,
     weighted_moving_average,
 )
 from csicount.sim import (
@@ -120,6 +118,16 @@ def test_butterworth_fast_length_pad_matches_symmetric_pad_on_smooth_input(n):
 # ----------------------------------------------------------------- pca
 
 
+def reference_components(matrix):
+    """(components, eigenvalues) of the column-centered matrix H, strongest
+    first: components[:, i] = H @ q_i for the eigenvectors q_i of H^T H
+    (reference for pca_denoise)."""
+    h = matrix - matrix.mean(axis=0)
+    eigenvalues, q = np.linalg.eigh(h.T @ h)
+    order = np.argsort(eigenvalues)[::-1]
+    return h @ q[:, order], eigenvalues[order]
+
+
 def common_mode_matrix(seed=0, t_len=400, n_cols=180):
     rng = np.random.default_rng(seed)
     t = np.arange(t_len) / RATE
@@ -130,7 +138,7 @@ def common_mode_matrix(seed=0, t_len=400, n_cols=180):
 
 def test_pca_first_component_captures_common_mode():
     h = common_mode_matrix()
-    comps, eigenvalues = pca_components(h)
+    comps, eigenvalues = reference_components(h)
     common = h.mean(axis=1)
     corr = np.corrcoef(comps[:, 0], common)[0, 1]
     assert abs(corr) > 0.99
@@ -138,7 +146,7 @@ def test_pca_first_component_captures_common_mode():
 
 
 def test_pca_components_pairwise_uncorrelated():
-    comps, _ = pca_components(common_mode_matrix(seed=1))
+    comps, _ = reference_components(common_mode_matrix(seed=1))
     kept = comps[:, 1:11]
     corr = np.corrcoef(kept, rowvar=False)
     off = corr - np.eye(10)
@@ -149,7 +157,7 @@ def test_pca_eigenvalue_sum_matches_trace():
     h = common_mode_matrix(seed=2)
     centered = h - h.mean(axis=0)
     trace = np.trace(centered.T @ centered)
-    _, eigenvalues = pca_components(h)
+    _, eigenvalues = reference_components(h)
     assert abs(eigenvalues.sum() - trace) / trace < 1e-8
 
 
@@ -178,7 +186,7 @@ def test_pca_denoise_equals_median_of_sliced_components(shape):
     rng = np.random.default_rng(shape[0])
     h = common_mode_matrix(seed=shape[1], t_len=shape[0], n_cols=shape[1])
     h += 0.1 * rng.standard_normal(shape)
-    comps, _ = pca_components(h)
+    comps, _ = reference_components(h)
     for keep in (1, 2, 4, 10, shape[1] - 1):
         ref = median_filter(comps[:, 1 : keep + 1], size=(5, 1), mode="nearest")
         out = pca_denoise(h, keep=keep)
@@ -189,7 +197,7 @@ def test_pca_denoise_equals_median_of_sliced_components(shape):
 
 def test_pca_denoise_median_filter_kills_spikes():
     h = common_mode_matrix(seed=4)
-    comps, _ = pca_components(h)
+    comps, _ = reference_components(h)
     raw = comps[:, 1:6]
     smooth = pca_denoise(h, keep=5)
     # a 5-point median filter must not widen the value range
@@ -250,42 +258,6 @@ def test_wma_rejects_bad_m():
         weighted_moving_average(np.zeros(5), 0)
 
 
-# -------------------------------------------------------------- unwrap
-
-
-def test_unwrap_single_jump():
-    out = unwrap(np.array([3.0, -3.0]))
-    assert np.allclose(out, [3.0, 2 * np.pi - 3.0], atol=1e-12)
-
-
-def test_unwrap_smooth_vector_unchanged():
-    x = np.linspace(0.0, 2.0, 40)
-    assert np.array_equal(unwrap(x), x)
-
-
-def test_unwrap_ramp_round_trip():
-    ramp = np.linspace(0.0, 40.0, 300)
-    wrapped = np.angle(np.exp(1j * ramp))
-    out = unwrap(wrapped)
-    # re-anchor: unwrap keeps the first element, the ramp starts at 0
-    assert np.max(np.abs(out - out[0] - (ramp - ramp[0]))) < 1e-12
-
-
-def test_unwrap_differences_folded():
-    rng = np.random.default_rng(9)
-    x = rng.uniform(-np.pi, np.pi, 100)
-    out = unwrap(x)
-    d = np.diff(out)
-    assert (d > -np.pi - 1e-12).all() and (d <= np.pi + 1e-12).all()
-    k = (out - x) / (2 * np.pi)
-    assert np.max(np.abs(k - np.round(k))) < 1e-9
-
-
-def test_unwrap_requires_1d():
-    with pytest.raises(ValueError):
-        unwrap(np.zeros((3, 3)))
-
-
 # ------------------------------------------------------------ sanitize
 
 
@@ -335,8 +307,8 @@ def test_sanitize_removes_injected_distortion():
     )
     _, phase_clean = split_streams(cap)
     _, phase_bad = split_streams(bad)
-    a = sanitize_phase(phase_clean.data)
-    b = sanitize_phase(phase_bad.data)
+    a = sanitize_phase(phase_clean)
+    b = sanitize_phase(phase_bad)
     # agreement up to a per-time constant: compare mean-centered rows
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
@@ -404,10 +376,8 @@ def test_window_plus_sample_pipeline():
     scene = Scene(static_paths=(Path(1.0 + 0.0j, 10e-9, 0.0, 1e-10),), noise_sigma=0.02)
     cap = simulate_capture(scene, 0.2, seed=2)
     amp, phase = split_streams(cap)
-    smooth = weighted_moving_average(amp.data, 100)
-    clean = sanitize_phase(phase.data)
-    wins_a = window(smooth, 200, 100)
-    wins_p = window(clean, 200, 100)
-    sample = build_count_sample(wins_a[0], wins_p[0])
+    smooth = weighted_moving_average(amp, 100)
+    clean = sanitize_phase(phase)
+    sample = build_count_sample(smooth[:200], clean[:200])
     assert sample.values.shape == (200, 360)
     assert np.isfinite(sample.values).all()

@@ -12,10 +12,28 @@ from csicount.sim import (
     inject_phase_offsets,
     load_scene,
     make_count_scene,
-    save_scene,
     simulate_capture,
     subcarrier_frequencies,
 )
+
+
+def write_scene(scene, path):
+    """Write a scene in the format load_scene reads."""
+    def path_line(p):
+        return (
+            f"path {p.attenuation.real!r} {p.attenuation.imag!r} "
+            f"{p.initial_delay!r} {p.velocity!r} {p.stream_delay_step!r}"
+        )
+
+    lines = [
+        f"carrier_hz {scene.carrier_hz!r}",
+        f"spacing_hz {scene.subcarrier_spacing_hz!r}",
+        f"noise_sigma {scene.noise_sigma!r}",
+    ]
+    lines += [path_line(p) for p in scene.static_paths]
+    for person in scene.persons:
+        lines += ["person", *map(path_line, person), "end"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def static_scene(noise=0.0):
@@ -221,7 +239,7 @@ def test_scene_validation():
 def test_scene_file_round_trip(tmp_path):
     scene = make_count_scene(2, seed=11, noise_sigma=0.04)
     path = tmp_path / "room.scene"
-    save_scene(scene, path)
+    write_scene(scene, path)
     back = load_scene(path)
     assert back == scene
 

@@ -6,13 +6,11 @@ import pytest
 from csicount.wavelet import (
     D4_HIGHPASS,
     D4_LOWPASS,
-    FeatureMatrix,
     WaveletDecomposition,
     dwt_decompose,
     dwt_reconstruct,
     extract_features,
     feature_matrix_from_components,
-    level_band,
 )
 
 RATE = 1500.0
@@ -121,40 +119,31 @@ def test_decompose_validation():
 
 def test_zero_signal_zero_features():
     fm = extract_features(dwt_decompose(np.zeros(2560), levels=10))
-    assert fm.values.shape == (20, 20)
-    assert np.array_equal(fm.values, np.zeros((20, 20)))
-    assert fm.levels == 10 and fm.n_windows == 20
+    assert fm.shape == (20, 20)  # energy and variance rows of 10 levels, 20 windows
+    assert np.array_equal(fm, np.zeros((20, 20)))
 
 
 def test_tone_energy_lands_in_its_band():
-    # 300 Hz at 1500 Hz sampling falls in the 187.5-375 Hz band: level 2
+    # 300 Hz at 1500 Hz sampling falls in level 2's band, RATE/8 .. RATE/4
+    # = 187.5-375 Hz
     fm = extract_features(dwt_decompose(tone(300.0), levels=10))
-    energy = fm.values[:10].mean(axis=1)
+    energy = fm[:10].mean(axis=1)
     assert int(np.argmax(energy)) == 1  # level 2 -> row index 1
-    lo, hi = level_band(RATE, 2)
-    assert lo < 300.0 <= hi
 
 
 def test_tone_sweep_monotone_band_index():
     rows = []
     for freq in (500.0, 300.0, 150.0, 60.0, 30.0, 15.0):
         fm = extract_features(dwt_decompose(tone(freq), levels=10))
-        rows.append(int(np.argmax(fm.values[:10].mean(axis=1))))
+        rows.append(int(np.argmax(fm[:10].mean(axis=1))))
     assert rows == [0, 1, 2, 3, 4, 5]
-
-
-def test_level_band_edges():
-    assert level_band(RATE, 1) == (375.0, 750.0)
-    assert level_band(RATE, 2) == (187.5, 375.0)
-    with pytest.raises(ValueError):
-        level_band(RATE, 0)
 
 
 def test_feature_scaling_law():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(2560)
-    f1 = extract_features(dwt_decompose(x, levels=10)).values
-    f3 = extract_features(dwt_decompose(3.0 * x, levels=10)).values
+    f1 = extract_features(dwt_decompose(x, levels=10))
+    f3 = extract_features(dwt_decompose(3.0 * x, levels=10))
     energy = slice(0, 10)
     variance = slice(10, 20)
     ref_e = np.abs(f1[energy]).max()
@@ -171,9 +160,9 @@ def test_coefficient_window_mapping_and_forward_fill():
     details[7] = np.array([3.0, 5.0])
     decomp = WaveletDecomposition(tuple(details), np.zeros(2), 512)
     fm = extract_features(decomp, window=128)
-    assert fm.values.shape == (16, 4)
-    assert np.allclose(fm.values[7], [9.0, 9.0, 25.0, 25.0])
-    assert np.allclose(fm.values[8 + 7], [0.0, 0.0, 0.0, 0.0])  # single-coeff var
+    assert fm.shape == (16, 4)
+    assert np.allclose(fm[7], [9.0, 9.0, 25.0, 25.0])
+    assert np.allclose(fm[8 + 7], [0.0, 0.0, 0.0, 0.0])  # single-coeff var
 
 
 def test_window_energy_is_mean_of_squares():
@@ -183,13 +172,13 @@ def test_window_energy_is_mean_of_squares():
     fm = extract_features(decomp, window=128)
     d = decomp.details[0]
     first = d[: 64]  # coefficients n with 2n // 128 == 0
-    assert np.isclose(fm.values[0, 0], np.square(first).mean())
-    assert np.isclose(fm.values[1, 0], np.square(first).var())
+    assert np.isclose(fm[0, 0], np.square(first).mean())
+    assert np.isclose(fm[1, 0], np.square(first).var())
 
 
 def test_incomplete_windows_dropped():
     fm = extract_features(dwt_decompose(np.zeros(300), levels=1), window=128)
-    assert fm.n_windows == 2
+    assert fm.shape == (2, 2)
 
 
 def test_feature_window_validation():
@@ -227,9 +216,9 @@ def test_features_match_per_window_loop(n, window):
     singles = [loop_features(dwt_decompose(cols[:, c], levels=10), window) for c in range(10)]
     for k in (1, 3, 10):
         ref = np.mean(singles[:k], axis=0)
-        got = feature_matrix_from_components(cols[:, :k], levels=10, window=window).values
+        got = feature_matrix_from_components(cols[:, :k], levels=10, window=window)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    one = extract_features(dwt_decompose(cols[:, 0], levels=10), window).values
+    one = extract_features(dwt_decompose(cols[:, 0], levels=10), window)
     np.testing.assert_allclose(one, singles[0], rtol=1e-12, atol=0)
 
 
@@ -239,7 +228,7 @@ def test_forward_fill_matches_loop_on_sparse_levels():
     rng = np.random.default_rng(11)
     decomp = dwt_decompose(rng.standard_normal(3001), levels=10)
     ref = loop_features(decomp, 200)
-    got = extract_features(decomp, window=200).values
+    got = extract_features(decomp, window=200)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
     # level 10 has coefficients at samples 0, 1024 and 2048: windows 0, 5, 10
     assert [len(set(got[9, a:b])) for a, b in ((0, 5), (5, 10), (10, 15))] == [1, 1, 1]
@@ -254,14 +243,14 @@ def test_component_average():
     cols = rng.standard_normal((2560, 3))
     fm = feature_matrix_from_components(cols, levels=10)
     singles = [
-        extract_features(dwt_decompose(cols[:, c], levels=10)).values for c in range(3)
+        extract_features(dwt_decompose(cols[:, c], levels=10)) for c in range(3)
     ]
-    assert np.allclose(fm.values, np.mean(singles, axis=0), atol=1e-12)
+    assert np.allclose(fm, np.mean(singles, axis=0), atol=1e-12)
 
 
 def test_component_average_accepts_1d():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(2560)
     fm = feature_matrix_from_components(x, levels=10)
-    single = extract_features(dwt_decompose(x, levels=10)).values
-    assert np.array_equal(fm.values, single)
+    single = extract_features(dwt_decompose(x, levels=10))
+    assert np.array_equal(fm, single)
