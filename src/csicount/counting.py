@@ -11,13 +11,13 @@ fine-tuned — every other parameter stays bitwise identical.
 
 Because fine-tuning never touches the layers before that final dense
 layer, a window's input to it (its head) is fixed for the whole session.
-run_online therefore computes the heads of up to ONLINE_BLOCK (16)
-windows with one batched front pass, then amends the windows one by one
-through the final dense layer and softmax alone, so a fine-tune in one
-window still changes the prediction of the next, inside a block too.
-Only the rounding of the batched front pass differs from counting each
-window alone.  The block bounds the memory the front pass adds; its
-layers keep no backward caches.
+run_online therefore takes up to ONLINE_BLOCK (16) windows at a time: a
+batched front pass gives their heads and one activity pass scores their
+stacked histories, cut from one causally low-passed stream.  It then
+amends the windows one by one through the final dense layer and softmax
+alone, so a fine-tune in one window still changes the prediction of the
+next, inside a block too.  Only the batched rounding differs from
+counting each window alone.  The block bounds the memory both passes add.
 
 Counts are 1..5 (the classifier head's range).  A session's tracked count
 may still reach 0 when someone leaves an empty-looking room; labels are
@@ -38,6 +38,7 @@ from .preprocess import (
     CsiWindow,
     build_count_sample,
     butterworth_lowpass,
+    lowpass_pad,
     pca_denoise,
     sanitize_phase,
     weighted_moving_average,
@@ -336,12 +337,39 @@ def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
         raise ValueError(
             f"activity branch needs >= {2**ACTIVITY_LEVELS} samples, got {amplitude.shape[0]}"
         )
-    filtered = butterworth_lowpass(amplitude, rate_hz, ACTIVITY_CUTOFF_HZ)
-    components = pca_denoise(filtered)
+    return _filtered_features(butterworth_lowpass(amplitude, rate_hz, ACTIVITY_CUTOFF_HZ))
+
+
+def _filtered_features(filtered: np.ndarray) -> np.ndarray:
+    """activity_features after the low-pass, for one (n, d) history or a (B, n, d)
+    stack: PCA and the wavelet cascade each run once over the whole stack."""
     matrix = feature_matrix_from_components(
-        components, levels=ACTIVITY_LEVELS, window=ACTIVITY_FEATURE_WINDOW
+        pca_denoise(filtered), levels=ACTIVITY_LEVELS, window=ACTIVITY_FEATURE_WINDOW
     )
-    return matrix.T.copy()
+    return np.ascontiguousarray(np.swapaxes(matrix, -1, -2))
+
+
+def _stream_histories(amp: np.ndarray, ends: np.ndarray, rate_hz: float, ring: np.ndarray):
+    """Stacked filtered histories of the windows ending at `ends` that have them.
+
+    The low-passed amplitude is a stream, row t at ring[t % len(ring)].  Each
+    window re-filters its frames plus 2*pad before them (pad: the low-pass's
+    reflection pad; the first frame is held before the capture) and writes
+    all but the first pad rows.  Rows more than pad behind its end are then
+    final; the last pad, reflection-padded at the live end, are provisional
+    until the next window rewrites them.  No window reads past its own end.
+    """
+    pad = lowpass_pad(rate_hz, ACTIVITY_CUTOFF_HZ)
+    span = WINDOW_LEN + 2 * pad
+    segments = amp[np.maximum(ends - span + np.arange(span)[:, None], 0)]  # (span, B, d)
+    out = butterworth_lowpass(segments, rate_hz, ACTIVITY_CUTOFF_HZ)[pad:]
+    ready = ends >= ACTIVITY_HISTORY  # a suffix of the block
+    histories = np.empty((ready.sum(), ACTIVITY_HISTORY, amp.shape[1]))
+    for b, end in enumerate(ends):
+        ring[np.arange(end - span + pad, end) % len(ring)] = out[:, b]
+        if ready[b]:
+            histories[b - len(ends)] = ring[np.arange(end - ACTIVITY_HISTORY, end) % len(ring)]
+    return histories
 
 
 def activity_features_from_capture(capture: CsiCapture) -> np.ndarray:
@@ -366,25 +394,28 @@ def run_online(session: CountSession, capture: CsiCapture) -> list:
 
     Consecutive non-overlapping windows are counted; in parallel the
     trailing amplitude history feeds the activity classifier, whose
-    debounced door events drive count amendments.  The heads of up to
-    ONLINE_BLOCK windows come from one front pass; each window is then
-    amended in order, so a fine-tune reaches every later window.  Returns
-    one OnlineStep per window; windows before enough history has
-    accumulated carry activity None.
+    debounced door events drive count amendments.  Each block of up to
+    ONLINE_BLOCK windows shares one front pass and one activity pass; its
+    windows are then amended in order, so a fine-tune reaches every later
+    window.  Returns one OnlineStep per window; windows before enough
+    history has accumulated carry activity None.
     """
     amp, phase = split_streams(capture)
     windows = _count_windows(capture, amp, phase, WINDOW_LEN, WINDOW_LEN)
     detector = DoorEventDetector()
+    ring = np.empty((ACTIVITY_HISTORY, amp.shape[1]))  # the filtered activity stream
     timeline = []
     i = 0
     while block := list(islice(windows, ONLINE_BLOCK)):
-        for head in window_heads(session.network, block):
-            end = i * WINDOW_LEN + WINDOW_LEN
-            activity = None
-            if session.hmm_models and end >= ACTIVITY_HISTORY:
-                history = amp[end - ACTIVITY_HISTORY : end]
-                features = activity_features(history, capture.rate_hz)
-                activity = classify_activity(session.hmm_models, features)
+        heads = window_heads(session.network, block)
+        ends = WINDOW_LEN * np.arange(i + 1, i + 1 + len(block))
+        activities = [None] * len(block)
+        if session.hmm_models:
+            histories = _stream_histories(amp, ends, capture.rate_hz, ring)
+            if len(histories):
+                labels = classify_activity(session.hmm_models, _filtered_features(histories))
+                activities[len(block) - len(labels) :] = labels
+        for end, head, activity in zip(ends.tolist(), heads, activities):
             event = detector.push(activity)
             count = amend_and_finetune(session, head[None], event, time_index=i)
             timeline.append(

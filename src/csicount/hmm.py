@@ -97,12 +97,13 @@ class GaussianHmm:
 
 
 def _check_obs(model: GaussianHmm, obs) -> np.ndarray:
+    """obs as a (B, T, D) stack; one (T, D) or (T,) sequence gives B = 1."""
     x = np.asarray(obs, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != model.n_features:
-        raise ValueError(f"observations must be (T, {model.n_features}), got {x.shape}")
-    if x.shape[0] < 1:
+    x = x[:, None] if x.ndim == 1 else x
+    x = x[None] if x.ndim == 2 else x
+    if x.ndim != 3 or x.shape[2] != model.n_features:
+        raise ValueError(f"sequences must be (T, {model.n_features}), got {x.shape[1:]}")
+    if x.shape[1] < 1:
         raise ValueError("empty observation sequence")
     if not np.isfinite(x).all():
         raise ValueError("observations contain non-finite values")
@@ -110,43 +111,47 @@ def _check_obs(model: GaussianHmm, obs) -> np.ndarray:
 
 
 def _log_densities(model: GaussianHmm, x: np.ndarray) -> np.ndarray:
-    """Per-frame, per-state diagonal-Gaussian log densities, shape (T, S)."""
-    diff = x[:, None, :] - model.means[None, :, :]
-    quad = (diff**2 / model.variances[None, :, :]).sum(axis=2)
+    """Per-frame, per-state diagonal-Gaussian log densities, shape ([B,] T, S)."""
+    diff = x[..., None, :] - model.means
+    quad = (diff**2 / model.variances).sum(axis=-1)
     norm = np.log(2 * np.pi * model.variances).sum(axis=1)
-    return -0.5 * (quad + norm[None, :])
+    return -0.5 * (quad + norm)
 
 
 def _scaled_forward(model, logb):
     """Scaled forward pass; returns (alpha, per-step log scale, total loglik).
 
-    Each step is formed in log space, log(predicted mass) + logb[t], and
-    shifted by its own maximum before exponentiating, so the largest term
-    is exactly 1.  A state with zero predicted mass (an exact zero in the
-    initial distribution or transition matrix) then cannot leave only
-    underflowed densities behind and zero the normaliser.
+    `logb` is (T, S), or (B, T, S) for B sequences run in step.  Each step
+    is formed in log space, log(predicted mass) + logb[t], and shifted by
+    its own maximum before exponentiating, so the largest term is exactly
+    1.  A state with zero predicted mass (an exact zero in the initial
+    distribution or transition matrix) then cannot leave only underflowed
+    densities behind and zero the normaliser.
     """
-    t_len, s = logb.shape
-    alpha = np.empty((t_len, s))
-    logc = np.empty(t_len)
+    alpha = np.empty(logb.shape)
+    logc = np.empty(logb.shape[:-1])
     predicted = model.initial
     with np.errstate(divide="ignore"):
-        for t in range(t_len):
-            log_a = np.log(predicted) + logb[t]
-            shift = log_a.max()
+        for t in range(logb.shape[-2]):
+            log_a = np.log(predicted) + logb[..., t, :]
+            shift = log_a.max(axis=-1, keepdims=True)
             a = np.exp(log_a - shift)
-            total = a.sum()
-            alpha[t] = a / total
-            logc[t] = np.log(total) + shift
-            predicted = alpha[t] @ model.transition
-    return alpha, logc, float(logc.sum())
+            total = a.sum(axis=-1, keepdims=True)
+            alpha[..., t, :] = a / total
+            logc[..., t] = (np.log(total) + shift)[..., 0]
+            predicted = alpha[..., t, :] @ model.transition
+    return alpha, logc, logc.sum(axis=-1)
 
 
 def log_likelihood(model: GaussianHmm, obs) -> float:
-    """Forward-algorithm log P(obs | model)."""
-    x = _check_obs(model, obs)
-    _, _, total = _scaled_forward(model, _log_densities(model, x))
-    return total
+    """Forward-algorithm log P(obs | model) of one (T, D) sequence."""
+    return float(log_likelihoods(model, obs)[0])
+
+
+def log_likelihoods(model: GaussianHmm, obs) -> np.ndarray:
+    """log_likelihood of each sequence of a (B, T, D) stack, from one
+    vectorised forward pass over the whole stack."""
+    return _scaled_forward(model, _log_densities(model, _check_obs(model, obs)))[2]
 
 
 def _kmeans_init(frames: np.ndarray, k: int, rng) -> np.ndarray:
@@ -232,7 +237,7 @@ def fit_hmm(
             shift = logb.max(axis=1)
             b = np.exp(logb - shift[:, None])
             alpha, _, ll = _scaled_forward(model, logb)
-            total_ll += ll
+            total_ll += float(ll)
 
             t_len = x.shape[0]
             beta = np.empty((t_len, n_states))
@@ -279,24 +284,21 @@ def fit_hmm(
     return model
 
 
-def classify_activity(models, obs) -> ActivityLabel:
+def classify_activity(models, obs):
     """Label of the model with the highest log-likelihood for `obs`.
 
     `models` maps ActivityLabel -> GaussianHmm.  Ties resolve toward the
-    earlier label in the ActivityLabel enumeration order.
+    earlier label in the ActivityLabel enumeration order.  A (B, T, D)
+    stack gives a list of B labels, each model scoring it in one pass.
     """
     if not models:
         raise ValueError("no models to classify against")
-    best_label, best_ll = None, -np.inf
-    for label in ActivityLabel:
-        if label not in models:
-            continue
-        ll = log_likelihood(models[label], obs)
-        if ll > best_ll:
-            best_label, best_ll = label, ll
-    if best_label is None:
+    labels = [label for label in ActivityLabel if label in models]
+    if not labels:
         raise ValueError("models must be keyed by ActivityLabel")
-    return best_label
+    scores = np.array([log_likelihoods(models[label], obs) for label in labels])
+    best = [labels[i] for i in np.argmax(np.where(np.isnan(scores), -np.inf, scores), axis=0)]
+    return best if np.ndim(obs) == 3 else best[0]
 
 
 class DoorEventDetector:

@@ -78,7 +78,9 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Accumulate parameter gradients and return the input gradient, which
+        a layer may skip (returning None) when need_dx is false."""
         raise NotImplementedError
 
     def params(self) -> list:
@@ -155,7 +157,7 @@ class Lstm(Layer):
         self._cache = (x, gates_i, gates_f, gates_o, gates_g, cells, hidden)
         return hidden
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x, gi, gf, go, gg, cells, hidden = self._cache
         b, t_len, n = dout.shape
         tanh_c = np.tanh(cells)
@@ -184,7 +186,7 @@ class Lstm(Layer):
         self.dU += h_prev.reshape(b * t_len, n).T @ dz_flat
         self.db += dz_flat.sum(axis=0)
         self._cache = None
-        return (dz_flat @ self.W.T).reshape(b, t_len, self.in_dim)
+        return (dz_flat @ self.W.T).reshape(b, t_len, self.in_dim) if need_dx else None
 
     def params(self):
         return [("W", self.W, self.dW), ("U", self.U, self.dU), ("b", self.b, self.db)]
@@ -219,7 +221,7 @@ class Dropout(Layer):
         self._cache = (self._rng.random(x.shape) < keep) / keep  # the scaled mask
         return x * self._cache
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         if self._cache is None:
             return dout
         return dout * self._cache
@@ -238,7 +240,7 @@ class AsImage(Layer):
             raise self._bad_shape(x, "(batch, height, width)")
         return x[..., None]
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         return dout[..., 0]
 
     def descriptor(self):
@@ -312,7 +314,7 @@ class Conv2d(Layer):
         self._cache = (rows, band, x.shape, out)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         rows, band, x_shape, out = self._cache
         b, h, w, c = x_shape
         _, ho, wo, f = dout.shape
@@ -381,7 +383,7 @@ class MaxPool2d(Layer):
         self._cache = (x, out)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x, out = self._cache
         dx = np.empty(x.shape)
         free = np.ones(out.shape, dtype=bool)
@@ -407,7 +409,7 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         return dout.reshape(self._cache)
 
     def descriptor(self):
@@ -443,13 +445,13 @@ class Dense(Layer):
         self._cache = (x, mask)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x, mask = self._cache
         dz = dout * mask if mask is not None else dout
         self.dW += x.T @ dz
         self.db += dz.sum(axis=0)
         self._cache = None
-        return dz @ self.W.T
+        return dz @ self.W.T if need_dx else None
 
     def params(self):
         return [("W", self.W, self.dW), ("b", self.b, self.db)]
@@ -485,7 +487,7 @@ class SummaryInput(Layer):
         self._cache = (y, safe, ok)
         return y
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         y, std, ok = self._cache
         g_mean = dout.mean(axis=1, keepdims=True)
         gy_mean = (dout * y).mean(axis=1, keepdims=True)
@@ -514,7 +516,7 @@ class Softmax(Layer):
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         return dout
 
     def descriptor(self):
@@ -595,10 +597,11 @@ class Network:
                 raise FloatingPointError(f"non-finite output at layer {i} ({layer.name})")
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, dout: np.ndarray) -> None:
+        """Accumulate parameter gradients; the first layer skips its unread dx."""
+        for layer in reversed(self.layers[1:]):
             dout = layer.backward(dout)
-        return dout
+        self.layers[0].backward(dout, need_dx=False)
 
     def params(self) -> list:
         out = []

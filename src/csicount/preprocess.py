@@ -16,8 +16,13 @@ from scipy.ndimage import median_filter
 from scipy.signal import fftconvolve
 
 
+def lowpass_pad(rate_hz: float, cutoff_hz: float) -> int:
+    """Rows of reflection butterworth_lowpass adds at each end of a long signal."""
+    return max(int(3 * rate_hz / cutoff_hz), 16)
+
+
 def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4):
-    """Zero-phase Butterworth low-pass along axis 0.
+    """Zero-phase Butterworth low-pass along axis 0 (of any number of axes).
 
     Realized in the frequency domain with the squared analog magnitude
     response 1 / (1 + (f / cutoff)^(2 * order)) - the zero-phase equivalent
@@ -32,14 +37,12 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
         raise ValueError("cutoff must lie strictly between 0 and the Nyquist rate")
     if order < 1:
         raise ValueError("order must be >= 1")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
+    shape = x.shape
+    x = x.reshape(shape[0], -1)
     n = x.shape[0]
     if n < 2:
-        out = x.copy()
-        return out[:, 0] if squeeze else out
-    pad = min(n - 1, max(int(3 * rate_hz / cutoff_hz), 16))
+        return x.reshape(shape).copy()
+    pad = min(n - 1, lowpass_pad(rate_hz, cutoff_hz))
     top = x[1 : pad + 1][::-1]
     bottom = x[-pad - 1 : -1][::-1]
     ext = np.concatenate([2 * x[0] - top, x, 2 * x[-1] - bottom])
@@ -49,8 +52,7 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
     freqs = np.fft.rfftfreq(ext.shape[0], d=1.0 / rate_hz)
     gain = 1.0 / (1.0 + (freqs / cutoff_hz) ** (2 * order))
     out = np.fft.irfft(np.fft.rfft(ext, axis=0) * gain[:, None], n=ext.shape[0], axis=0)
-    out = out[pad : pad + n]
-    return out[:, 0] if squeeze else out
+    return out[pad : pad + n].reshape(shape)
 
 
 def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
@@ -59,16 +61,18 @@ def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
     The first principal component concentrates the common-mode variation
     shared by all CSI columns and is discarded; the returned matrix holds
     components 2 .. keep+1, each smoothed with a 5-point median filter.
+    A (..., n, d) stack of matrices is denoised matrix by matrix.
     """
     h = np.asarray(matrix, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] < 2:
+    if h.ndim < 2 or h.shape[-2] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
-    if not 1 <= keep <= h.shape[1] - 1:
-        raise ValueError(f"keep must be in 1..{h.shape[1] - 1}")
-    h = h - h.mean(axis=0)
-    eigenvalues, q = np.linalg.eigh(h.T @ h)
-    q = q[:, np.argsort(eigenvalues)[::-1]]
-    return median_filter(h @ q[:, 1 : keep + 1], size=(5, 1), mode="nearest")
+    d = h.shape[-1]
+    if not 1 <= keep <= d - 1:
+        raise ValueError(f"keep must be in 1..{d - 1}")
+    h = h - h.mean(axis=-2, keepdims=True)
+    # eigh sorts ascending: the kept vectors, strongest first, are columns d-2, d-3, ..
+    q = np.linalg.eigh(np.swapaxes(h, -1, -2) @ h)[1][..., np.arange(d - 2, d - 2 - keep, -1)]
+    return median_filter(h @ q, size=(1,) * (h.ndim - 2) + (5, 1), mode="nearest")
 
 
 def weighted_moving_average(series, m: int = 100):
@@ -82,9 +86,8 @@ def weighted_moving_average(series, m: int = 100):
     x = np.asarray(series, dtype=np.float64)
     if m < 1:
         raise ValueError("m must be >= 1")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
+    shape = x.shape
+    x = x.reshape(shape[0], -1)
     n = x.shape[0]
     kernel = np.arange(m, 0, -1, dtype=np.float64)  # weight m on lag 0
     if m == 1:
@@ -93,8 +96,7 @@ def weighted_moving_average(series, m: int = 100):
         num = fftconvolve(x, kernel[:, None], mode="full", axes=0)[:n]
     lags = np.minimum(np.arange(n), m - 1)
     denom = m * (lags + 1) - lags * (lags + 1) / 2.0  # sum of m, m-1, .., m-lags
-    out = num / denom[:, None]
-    return out[:, 0] if squeeze else out
+    return (num / denom[:, None]).reshape(shape)
 
 
 def sanitize_phase(phase_matrix: np.ndarray, n_streams: int = 6, n_sub: int = 30) -> np.ndarray:
@@ -112,7 +114,16 @@ def sanitize_phase(phase_matrix: np.ndarray, n_streams: int = 6, n_sub: int = 30
     if n_sub < 2:
         raise ValueError("need at least two subcarriers to fit a slope")
     t = p.shape[0]
-    u = np.unwrap(p.reshape(t, n_streams, n_sub), axis=2)
+    # np.unwrap(axis=2) bit for bit, its wrap arithmetic done only where |step| >= pi
+    u = p.reshape(t, n_streams, n_sub).copy()
+    step = np.diff(u, axis=2)
+    wraps = ~(np.abs(step) < np.pi)
+    jump = step[wraps]
+    folded = np.mod(jump + np.pi, 2 * np.pi) - np.pi
+    folded[(folded == -np.pi) & (jump > 0)] = np.pi
+    correction = np.zeros_like(step)
+    correction[wraps] = folded - jump
+    u[..., 1:] += correction.cumsum(axis=2)
     y = u.mean(axis=1)  # (t, n_sub)
     x = np.arange(n_sub, dtype=np.float64)
     xc = x - x.mean()

@@ -119,7 +119,7 @@ def extract_features(decomp: WaveletDecomposition, window: int = 128) -> np.ndar
     n * 2^l.  Windows that receive no coefficient at a level carry the
     level's last defined value forward.  Only complete windows are kept.
     Details of shape (n_l, k), a cascade over k columns, give the mean of
-    the k columns' matrices.
+    the k columns' matrices; details of shape (n_l, B, k) give B of them.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -127,20 +127,22 @@ def extract_features(decomp: WaveletDecomposition, window: int = 128) -> np.ndar
     if n_windows < 1:
         raise ValueError("signal shorter than one feature window")
     levels = decomp.levels
-    values = np.zeros((2 * levels, n_windows))
+    batch = decomp.details[0].shape[1:-1]
+    values = np.zeros((2 * levels, n_windows) + batch)
     for lv, detail in enumerate(decomp.details, start=1):
         pos = np.arange(detail.shape[0]) * (2**lv) // window
         pos = pos[pos < n_windows]
         starts = np.flatnonzero(np.diff(pos, prepend=-1))
-        counts = np.diff(starts, append=pos.size)[:, None]
-        sq = detail[: pos.size].reshape(pos.size, -1) ** 2
-        energy = np.add.reduceat(sq, starts, axis=0) / counts
-        dev = (sq - np.repeat(energy, counts[:, 0], axis=0)) ** 2
-        variance = np.add.reduceat(dev, starts, axis=0) / counts
+        counts = np.diff(starts, append=pos.size)
+        sq = detail[: pos.size].reshape(pos.size, *batch, -1) ** 2
+        per_run = counts.reshape(-1, *(1,) * (sq.ndim - 1))
+        energy = np.add.reduceat(sq, starts, axis=0) / per_run
+        dev = (sq - np.repeat(energy, counts, axis=0)) ** 2
+        variance = np.add.reduceat(dev, starts, axis=0) / per_run
         fill = np.searchsorted(pos[starts], np.arange(n_windows), side="right")
         for row, runs in ((lv - 1, energy), (levels + lv - 1, variance)):
-            values[row] = np.vstack([np.zeros_like(runs[:1]), runs])[fill].mean(axis=1)
-    return values
+            values[row] = np.concatenate([np.zeros_like(runs[:1]), runs])[fill].mean(axis=-1)
+    return np.moveaxis(values, (0, 1), (-2, -1))
 
 
 def feature_matrix_from_components(
@@ -150,10 +152,11 @@ def feature_matrix_from_components(
 
     `components` is (n_samples, n_components); one cascade decomposes all
     columns at once and extract_features averages their matrices, yielding
-    one (2 * levels, n_windows) matrix for the whole set.
+    one (2 * levels, n_windows) matrix for the whole set.  A (..., n_samples,
+    n_components) stack yields one matrix per set from the same cascade.
     """
     comp = np.asarray(components, dtype=np.float64)
     comp = comp[:, None] if comp.ndim == 1 else comp
-    if comp.ndim != 2 or comp.shape[1] < 1:
+    if comp.shape[-1] < 1:
         raise ValueError("need at least one component")
-    return extract_features(_cascade(comp, levels), window)
+    return extract_features(_cascade(np.moveaxis(comp, -2, 0), levels), window)

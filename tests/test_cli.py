@@ -74,6 +74,8 @@ def test_runtime_failure_prints_one_line_diagnostic(capsys, tmp_path):
     for flag in ("--rate", "--duration"):
         argv = ["simulate", "--duration", "1", flag, "inf", "--out", out]
         assert_one_line_error(capsys, argv, "finite")
+    # a duration whose frames cannot be allocated (about 10 PiB)
+    assert_one_line_error(capsys, ["simulate", "--duration", "1e12", "--out", out], "allocate")
     cap, _ = simulate(capsys, tmp_path, "inf.csic", persons=1, duration=0.2, seed=1)
     raw = bytearray(cap.read_bytes())
     raw[12:16] = np.float32(np.inf).tobytes()  # rate_hz in the 25-byte header

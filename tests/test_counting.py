@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csicount import counting
 from csicount.capture import CsiCapture, concat_captures, split_streams
 from csicount.counting import (
     ACTIVITY_HISTORY,
@@ -25,7 +26,16 @@ from csicount.counting import (
     train,
     window_heads,
 )
-from csicount.hmm import ActivityLabel, DoorEvent, DoorEventDetector, classify_activity, fit_hmm
+from csicount.hmm import (
+    ActivityLabel,
+    DoorEvent,
+    DoorEventDetector,
+    GaussianHmm,
+    classify_activity,
+    fit_hmm,
+    log_likelihood,
+    log_likelihoods,
+)
 from csicount.neural import (
     Dense,
     build_cnn_lstm,
@@ -33,8 +43,9 @@ from csicount.neural import (
     build_fcbp,
     finetune_last_dense,
 )
-from csicount.preprocess import CsiWindow
+from csicount.preprocess import CsiWindow, butterworth_lowpass, pca_denoise
 from csicount.sim import Path, Scene, make_count_scene, simulate_capture
+from csicount.wavelet import feature_matrix_from_components
 
 
 def toy_window(values):
@@ -650,3 +661,89 @@ def test_run_online_matches_one_window_at_a_time(activity_models, walk_door_capt
         (j + 1) % ONLINE_BLOCK and log[j].prediction != log[j + 1].prediction == log[j].label
         for j in tuned
     )
+
+
+def cut(capture, n_frames):
+    return CsiCapture(
+        capture.values[:n_frames], capture.timestamps[:n_frames], capture.rate_hz,
+        capture.n_tx, capture.n_rx, capture.n_sub,
+    )
+
+
+def session_steps(models, capture, monkeypatch):
+    """(steps, activity features classified) of a session on the capture."""
+    features = []
+
+    def recording(models, stack):
+        features.extend(stack)
+        return classify_activity(models, stack)
+
+    monkeypatch.setattr(counting, "classify_activity", recording)
+    net = build_cnn_lstm(seed=12)
+    net.layers[net.last_dense].b[:] = [0.0, 2.0, 0.0, 0.0, 0.0]  # predicts 2
+    session = CountSession(net, hmm_models=models, current_count=2, finetune_lr=1.0)
+    timeline = run_online(session, capture)
+    steps = [
+        (step.prediction, step.count, step.activity, step.event, rec.action)
+        for step, rec in zip(timeline, session.event_log)
+    ]
+    return steps, features
+
+
+def test_run_online_window_sees_only_its_own_past(
+    activity_models, walk_door_capture, monkeypatch
+):
+    # the filtered activity stream is causal: a capture cut after k windows
+    # gives exactly the first k steps of the whole capture's session, also
+    # when the cut falls inside a block or leaves its last window short of
+    # a full history; the features the HMMs score show no frame after the
+    # cut either
+    _, models = activity_models
+    full, full_features = session_steps(models, walk_door_capture, monkeypatch)
+    assert any(action == "finetune" for *_, action in full)
+    for k in (5, 6, 15, 16, 17, 33):
+        capture = cut(walk_door_capture, k * WINDOW_LEN)
+        steps, features = session_steps(models, capture, monkeypatch)
+        assert steps == full[:k], k
+        assert len(features) == sum(activity is not None for _, _, activity, *_ in steps), k
+        for got, ref in zip(features, full_features):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def test_batched_activity_branch_matches_one_history_at_a_time(
+    activity_models, walk_door_capture
+):
+    # PCA, the median filter, the wavelet cascade and the HMM forward pass
+    # each run once over a stack of histories; every history must come out
+    # as it does alone
+    _, models = activity_models
+    amp, _ = split_streams(walk_door_capture)
+    ends = range(ACTIVITY_HISTORY, amp.shape[0] + 1, 5 * WINDOW_LEN)
+    stack = np.stack(
+        [butterworth_lowpass(amp[e - ACTIVITY_HISTORY : e], 1500.0, 200.0) for e in ends]
+    )
+    batched = feature_matrix_from_components(pca_denoise(stack)).swapaxes(1, 2)
+    single = [feature_matrix_from_components(pca_denoise(h)).T for h in stack]
+    assert batched.shape == (len(stack), ACTIVITY_HISTORY // 128, 20)
+    for got, ref in zip(batched, single):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+    zero_start = GaussianHmm(  # an exact zero in initial: log(0) in the forward pass
+        [0.0, 0.6, 0.4],
+        [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]],
+        models[ActivityLabel.WALKING].means,
+        models[ActivityLabel.WALKING].variances,
+    )
+    for model in (*models.values(), zero_start):
+        scores = log_likelihoods(model, batched)
+        assert scores.shape == (len(stack),)
+        for score, features in zip(scores, batched):
+            ref = log_likelihood(model, features)
+            assert np.isfinite(ref) and abs(score - ref) <= 1e-9 * abs(ref)
+
+    labels = classify_activity(models, batched)
+    assert labels == [classify_activity(models, f) for f in batched]
+    assert set(labels) == {ActivityLabel.WALKING, ActivityLabel.ENTERING_ROOM}
+    # identical models tie exactly: the earlier label of the enumeration wins
+    twins = {ActivityLabel.RUNNING: zero_start, ActivityLabel.WALKING: zero_start}
+    assert classify_activity(twins, batched) == [ActivityLabel.WALKING] * len(stack)

@@ -374,8 +374,8 @@ def test_gradcheck_lstm_only():
 
 def test_gradcheck_detects_corrupted_gradient():
     class BrokenDense(Dense):
-        def backward(self, dout):
-            dx = super().backward(dout)
+        def backward(self, dout, need_dx=True):
+            dx = super().backward(dout, need_dx)
             self.dW *= 1.05
             return dx
 
@@ -569,6 +569,33 @@ def test_inference_forward_keeps_no_backward_cache():
         net.loss_and_gradients(x, labels, training=False)
         for (name, _, g), ref in zip(net.params(), grads):
             assert g.tobytes() == ref.tobytes(), name
+
+
+def test_first_layer_skips_its_input_gradient():
+    # Network.backward asks the first layer for no input gradient: the LSTM
+    # skips its dz @ W.T and the parameter gradients keep every bit, while a
+    # direct layer.backward still returns dx
+    for build, x, labels in (
+        (build_cnn_lstm_toy, TOY_X, TOY_LABELS),
+        (build_fcbp, np.random.default_rng(38).standard_normal((2, 360)), [2, 4]),
+    ):
+        net = build(seed=39)
+        net.loss_and_gradients(x, labels, training=False)
+        grads = [g.copy() for _, _, g in net.params()]
+        net.zero_grads()
+        dout = net.forward(x)
+        dout[np.arange(len(labels)), np.asarray(labels) - 1] -= 1.0
+        dout /= len(labels)
+        for layer in reversed(net.layers):
+            dout = layer.backward(dout)
+        assert dout.shape == x.shape
+        for (name, _, g), ref in zip(net.params(), grads):
+            assert g.tobytes() == ref.tobytes(), name
+
+    lstm = build_cnn_lstm_toy(seed=39).layers[0]
+    assert isinstance(lstm, Lstm)
+    out = lstm.forward(TOY_X, training=True)
+    assert lstm.backward(np.ones_like(out), need_dx=False) is None
 
 
 def test_finetune_validates_label():

@@ -17,6 +17,7 @@ from csicount.sim import (
     PhaseDistortion,
     Scene,
     inject_phase_offsets,
+    make_count_scene,
     simulate_capture,
 )
 
@@ -272,6 +273,36 @@ def test_sanitize_pure_slope_and_offset():
     xc = j - j.mean()
     slope = (y @ xc) / (xc @ xc)
     assert np.max(np.abs(slope)) < 1e-9
+
+
+def np_unwrap_sanitize(phase, n_streams=6, n_sub=30):
+    """sanitize_phase as first written, on np.unwrap (reference)."""
+    u = np.unwrap(phase.reshape(-1, n_streams, n_sub), axis=2)
+    x = np.arange(n_sub, dtype=np.float64)
+    xc = x - x.mean()
+    slope = (u.mean(axis=1) @ xc) / (xc @ xc)
+    return (u - slope[:, None, None] * x[None, None, :]).reshape(-1, n_streams * n_sub)
+
+
+def test_sanitize_unwrap_is_bit_identical_to_np_unwrap():
+    # the unwrap folds only the steps of at least pi, with numpy's own
+    # arithmetic, so every output bit matches np.unwrap(axis=2)
+    rng = np.random.default_rng(12)
+    boundary = rng.choice([-np.pi, 0.0, np.pi, 0.5, -0.5], (40, 180))
+    cap = simulate_capture(make_count_scene(3, seed=4), 0.2, seed=4)
+    cases = {
+        "random phases": rng.uniform(-np.pi, np.pi, (200, 180)),
+        "steps of exactly +-pi": boundary,
+        "no wraps": rng.uniform(-1.0, 1.0, (50, 180)),
+        "capture": split_streams(cap)[1],
+    }
+    for name, phase in cases.items():
+        got, ref = sanitize_phase(phase), np_unwrap_sanitize(phase)
+        assert got.tobytes() == ref.tobytes(), name
+        step = np.diff(phase.reshape(-1, 6, 30), axis=2)
+        assert (np.abs(step) >= np.pi).any() == (name != "no wraps"), name
+    step = np.diff(boundary.reshape(-1, 6, 30), axis=2)
+    assert (step == np.pi).any() and (step == -np.pi).any()
 
 
 def test_sanitize_slope_free_input_unchanged():
