@@ -298,7 +298,7 @@ def amend_and_finetune(
     return expected
 
 
-def _count_windows(capture: CsiCapture, amp, phase, window_len: int, stride: int):
+def _count_windows(capture: CsiCapture, amp, phase):
     """Standardized count windows of a capture's split streams, built as drawn.
 
     Amplitude is smoothed with the weighted moving average and phase is
@@ -307,23 +307,20 @@ def _count_windows(capture: CsiCapture, amp, phase, window_len: int, stride: int
     standardized per column.
     """
     n_frames = amp.shape[0]
-    if n_frames < window_len:
-        raise ValueError(f"capture has {n_frames} frames; needs at least {window_len}")
+    if n_frames < WINDOW_LEN:
+        raise ValueError(f"capture has {n_frames} frames; needs at least {WINDOW_LEN}")
     amp_s = weighted_moving_average(amp)
     phase_s = sanitize_phase(phase, capture.n_streams, capture.n_sub)
     return (
-        build_count_sample(amp_s[start : start + window_len], phase_s[start : start + window_len])
-        for start in range(0, n_frames - window_len + 1, stride)
+        build_count_sample(amp_s[start : start + WINDOW_LEN], phase_s[start : start + WINDOW_LEN])
+        for start in range(0, n_frames - WINDOW_LEN + 1, WINDOW_LEN)
     )
 
 
-def count_windows_from_capture(
-    capture: CsiCapture, window_len: int = WINDOW_LEN, stride: int | None = None
-) -> list:
+def count_windows_from_capture(capture: CsiCapture) -> list:
     """Cut a capture into standardized count windows (see _count_windows)."""
     amp, phase = split_streams(capture)
-    stride = window_len if stride is None else stride
-    return list(_count_windows(capture, amp, phase, window_len, stride))
+    return list(_count_windows(capture, amp, phase))
 
 
 def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
@@ -354,19 +351,22 @@ def _stream_histories(amp: np.ndarray, ends: np.ndarray, rate_hz: float, ring: n
 
     The low-passed amplitude is a stream, row t at ring[t % len(ring)].  Each
     window re-filters its frames plus 2*pad before them (pad: the low-pass's
-    reflection pad; the first frame is held before the capture) and writes
-    all but the first pad rows.  Rows more than pad behind its end are then
-    final; the last pad, reflection-padded at the live end, are provisional
-    until the next window rewrites them.  No window reads past its own end.
+    reflection pad, capped at ACTIVITY_HISTORY - 1 as for a single history;
+    the first frame is held before the capture) and writes all but the first
+    pad rows, up to the ring's length.  Rows more than pad behind its end are
+    then final; the last pad, reflection-padded at the live end, are
+    provisional until the next window rewrites them.  No window reads past
+    its own end.
     """
-    pad = lowpass_pad(rate_hz, ACTIVITY_CUTOFF_HZ)
+    pad = min(lowpass_pad(rate_hz, ACTIVITY_CUTOFF_HZ), ACTIVITY_HISTORY - 1)
     span = WINDOW_LEN + 2 * pad
+    keep = min(WINDOW_LEN + pad, len(ring))
     segments = amp[np.maximum(ends - span + np.arange(span)[:, None], 0)]  # (span, B, d)
-    out = butterworth_lowpass(segments, rate_hz, ACTIVITY_CUTOFF_HZ)[pad:]
+    out = butterworth_lowpass(segments, rate_hz, ACTIVITY_CUTOFF_HZ)[-keep:]
     ready = ends >= ACTIVITY_HISTORY  # a suffix of the block
     histories = np.empty((ready.sum(), ACTIVITY_HISTORY, amp.shape[1]))
     for b, end in enumerate(ends):
-        ring[np.arange(end - span + pad, end) % len(ring)] = out[:, b]
+        ring[np.arange(end - keep, end) % len(ring)] = out[:, b]
         if ready[b]:
             histories[b - len(ends)] = ring[np.arange(end - ACTIVITY_HISTORY, end) % len(ring)]
     return histories
@@ -401,7 +401,7 @@ def run_online(session: CountSession, capture: CsiCapture) -> list:
     history has accumulated carry activity None.
     """
     amp, phase = split_streams(capture)
-    windows = _count_windows(capture, amp, phase, WINDOW_LEN, WINDOW_LEN)
+    windows = _count_windows(capture, amp, phase)
     detector = DoorEventDetector()
     ring = np.empty((ACTIVITY_HISTORY, amp.shape[1]))  # the filtered activity stream
     timeline = []

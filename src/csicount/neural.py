@@ -11,6 +11,12 @@ identity), trained with plain mini-batch SGD.
 Checkpoints are versioned binaries: a JSON architecture descriptor
 followed by the raw float64 parameter arrays in layer order.
 
+Each layer class declares its schema once: `kind` (its checkpoint name),
+`fields` (its constructor arguments, in order) and, if it has parameters,
+`shapes()`: {name: (shape, fan_in)} in draw order, fan_in None for a zero
+bias.  Layer derives allocation, params(), n_params and the checkpoint
+descriptor from them, and the loader rebuilds a layer from its fields.
+
 Counting architecture (sequence input, window_len x 360):
 
     LSTM(64) -> dropout(0.1) -> conv 6@5x5/1 + maxpool 2x2/2
@@ -31,6 +37,7 @@ instead of kh * kw * in per output pixel (about 150 MB).  See Conv2d.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -45,11 +52,6 @@ PROB_CLAMP = 1e-12
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
-
-
-def _uniform(rng, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
 
 
 def _cross_entropy(probs: np.ndarray, labels):
@@ -69,11 +71,23 @@ def _cross_entropy(probs: np.ndarray, labels):
 class Layer:
     """Base layer: forward/backward pair plus parameter bookkeeping."""
 
+    kind: str  # checkpoint name
+    fields: tuple = ()  # constructor arguments, in constructor order
     trace_point = True  # whether shape_trace records this layer's output
     _cache = None  # what backward needs from the last forward, if anything
 
+    def shapes(self) -> dict:
+        """{name: (shape, fan_in)} in draw order; fan_in None is a zero bias."""
+        return {}
+
     def initialize(self, rng) -> None:
-        """Allocate parameters (draws from rng in a fixed order)."""
+        """Allocate each parameter (scaled-uniform draws from rng in shapes()
+        order, or zeros) and its zeroed d<name> gradient."""
+        for name, (shape, fan_in) in self.shapes().items():
+            bound = None if fan_in is None else 1.0 / np.sqrt(fan_in)
+            value = np.zeros(shape) if bound is None else rng.uniform(-bound, bound, shape)
+            setattr(self, name, value)
+            setattr(self, "d" + name, np.zeros(shape))
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         raise NotImplementedError
@@ -85,15 +99,15 @@ class Layer:
 
     def params(self) -> list:
         """[(name, value, grad)] with grads accumulated in place."""
-        return []
+        return [(name, getattr(self, name), getattr(self, "d" + name)) for name in self.shapes()]
 
     @property
     def n_params(self) -> int:
         """Parameter count implied by the constructor fields alone."""
-        return 0
+        return sum(math.prod(shape) for shape, _ in self.shapes().values())
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.fields}}
 
     @property
     def name(self) -> str:
@@ -114,18 +128,16 @@ class Lstm(Layer):
     Input (batch, time, in_dim) -> output (batch, time, cells).
     """
 
+    kind = "lstm"
+    fields = ("in_dim", "cells")
+
     def __init__(self, in_dim: int, cells: int):
         self.in_dim = in_dim
         self.cells = cells
 
-    def initialize(self, rng) -> None:
-        n = self.cells
-        self.W = _uniform(rng, self.in_dim, (self.in_dim, 4 * n))
-        self.U = _uniform(rng, n, (n, 4 * n))
-        self.b = np.zeros(4 * n)
-        self.dW = np.zeros_like(self.W)
-        self.dU = np.zeros_like(self.U)
-        self.db = np.zeros_like(self.b)
+    def shapes(self):
+        d, n = self.in_dim, self.cells
+        return {"W": ((d, 4 * n), d), "U": ((n, 4 * n), n), "b": ((4 * n,), None)}
 
     def forward(self, x, training):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
@@ -188,29 +200,21 @@ class Lstm(Layer):
         self._cache = None
         return (dz_flat @ self.W.T).reshape(b, t_len, self.in_dim) if need_dx else None
 
-    def params(self):
-        return [("W", self.W, self.dW), ("U", self.U, self.dU), ("b", self.b, self.db)]
-
-    @property
-    def n_params(self):
-        return 4 * self.cells * (self.in_dim + self.cells + 1)
-
-    def descriptor(self):
-        return {"kind": "lstm", "in_dim": self.in_dim, "cells": self.cells}
-
 
 class Dropout(Layer):
     """Inverted dropout on activations; identity outside training."""
 
+    kind = "dropout"
+    fields = ("rate",)
     trace_point = False
 
     def __init__(self, rate: float):
         if not isinstance(rate, (int, float)) or not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self._rng = None
 
-    def bind_rng(self, rng) -> None:
+    def initialize(self, rng) -> None:
+        """Keep the network's generator, which draws the training masks."""
         self._rng = rng
 
     def forward(self, x, training):
@@ -226,13 +230,11 @@ class Dropout(Layer):
             return dout
         return dout * self._cache
 
-    def descriptor(self):
-        return {"kind": "dropout", "rate": self.rate}
-
 
 class AsImage(Layer):
     """Append a singleton channel axis: (b, h, w) -> (b, h, w, 1)."""
 
+    kind = "as_image"
     trace_point = False
 
     def forward(self, x, training):
@@ -242,9 +244,6 @@ class AsImage(Layer):
 
     def backward(self, dout, need_dx=True):
         return dout[..., 0]
-
-    def descriptor(self):
-        return {"kind": "as_image"}
 
 
 class Conv2d(Layer):
@@ -267,6 +266,9 @@ class Conv2d(Layer):
     own output, from which the ReLU mask is read.
     """
 
+    kind = "conv2d"
+    fields = ("in_channels", "out_channels", "kh", "kw", "stride", "activation")
+
     def __init__(self, in_channels, out_channels, kh, kw, stride=1, activation="relu"):
         if activation not in ("relu", "linear"):
             raise ValueError(f"unknown activation {activation!r}")
@@ -277,12 +279,9 @@ class Conv2d(Layer):
         self.stride = stride
         self.activation = activation
 
-    def initialize(self, rng):
-        fan_in = self.kh * self.kw * self.in_channels
-        self.W = _uniform(rng, fan_in, (self.kh, self.kw, self.in_channels, self.out_channels))
-        self.b = np.zeros(self.out_channels)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+    def shapes(self):
+        kh, kw, c, f = self.kh, self.kw, self.in_channels, self.out_channels
+        return {"W": ((kh, kw, c, f), kh * kw * c), "b": ((f,), None)}
 
     def _diagonals(self, wo: int):
         """For each kernel column dj, the (input column, output column)
@@ -332,24 +331,6 @@ class Conv2d(Layer):
         self._cache = None
         return dx
 
-    def params(self):
-        return [("W", self.W, self.dW), ("b", self.b, self.db)]
-
-    @property
-    def n_params(self):
-        return (self.kh * self.kw * self.in_channels + 1) * self.out_channels
-
-    def descriptor(self):
-        return {
-            "kind": "conv2d",
-            "in_channels": self.in_channels,
-            "out_channels": self.out_channels,
-            "kh": self.kh,
-            "kw": self.kw,
-            "stride": self.stride,
-            "activation": self.activation,
-        }
-
 
 class MaxPool2d(Layer):
     """Non-overlapping max pooling (stride = window size).
@@ -359,6 +340,9 @@ class MaxPool2d(Layer):
     routes each gradient to the first maximal element of its window in
     row-major window order, found by one equality pass per slice.
     """
+
+    kind = "maxpool2d"
+    fields = ("size",)
 
     def __init__(self, size: int = 2):
         if size < 1:
@@ -398,12 +382,11 @@ class MaxPool2d(Layer):
         self._cache = None
         return dx
 
-    def descriptor(self):
-        return {"kind": "maxpool2d", "size": self.size}
-
 
 class Flatten(Layer):
     """Collapse all non-batch axes."""
+
+    kind = "flatten"
 
     def forward(self, x, training):
         self._cache = x.shape
@@ -412,12 +395,12 @@ class Flatten(Layer):
     def backward(self, dout, need_dx=True):
         return dout.reshape(self._cache)
 
-    def descriptor(self):
-        return {"kind": "flatten"}
-
 
 class Dense(Layer):
     """Affine map with optional fused ReLU: y = act(x W + b)."""
+
+    kind = "dense"
+    fields = ("in_dim", "out_dim", "activation")
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "linear"):
         if activation not in ("relu", "linear"):
@@ -426,11 +409,8 @@ class Dense(Layer):
         self.out_dim = out_dim
         self.activation = activation
 
-    def initialize(self, rng):
-        self.W = _uniform(rng, self.in_dim, (self.in_dim, self.out_dim))
-        self.b = np.zeros(self.out_dim)
-        self.dW = np.zeros_like(self.W)
-        self.db = np.zeros_like(self.b)
+    def shapes(self):
+        return {"W": ((self.in_dim, self.out_dim), self.in_dim), "b": ((self.out_dim,), None)}
 
     def forward(self, x, training):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -453,25 +433,13 @@ class Dense(Layer):
         self._cache = None
         return dz @ self.W.T if need_dx else None
 
-    def params(self):
-        return [("W", self.W, self.dW), ("b", self.b, self.db)]
-
-    @property
-    def n_params(self):
-        return (self.in_dim + 1) * self.out_dim
-
-    def descriptor(self):
-        return {
-            "kind": "dense",
-            "in_dim": self.in_dim,
-            "out_dim": self.out_dim,
-            "activation": self.activation,
-        }
-
 
 class SummaryInput(Layer):
     """Standardize each row of a (batch, dim) summary vector to zero mean
     and unit variance; constant rows become zeros."""
+
+    kind = "summary_input"
+    fields = ("dim",)
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -495,9 +463,6 @@ class SummaryInput(Layer):
         self._cache = None
         return dx
 
-    def descriptor(self):
-        return {"kind": "summary_input", "dim": self.dim}
-
 
 class Softmax(Layer):
     """Row-wise softmax with max subtraction.
@@ -507,6 +472,7 @@ class Softmax(Layer):
     the logits is computed by the loss and fed in directly.
     """
 
+    kind = "softmax"
     trace_point = False
 
     def forward(self, x, training):
@@ -519,23 +485,13 @@ class Softmax(Layer):
     def backward(self, dout, need_dx=True):
         return dout
 
-    def descriptor(self):
-        return {"kind": "softmax"}
 
-
-# descriptor kind -> (layer class, its positive-integer constructor fields,
-# its other constructor fields), fields in constructor order
 _LAYER_KINDS = {
-    "lstm": (Lstm, ("in_dim", "cells"), ()),
-    "dropout": (Dropout, (), ("rate",)),
-    "as_image": (AsImage, (), ()),
-    "conv2d": (Conv2d, ("in_channels", "out_channels", "kh", "kw", "stride"), ("activation",)),
-    "maxpool2d": (MaxPool2d, ("size",), ()),
-    "flatten": (Flatten, (), ()),
-    "dense": (Dense, ("in_dim", "out_dim"), ("activation",)),
-    "summary_input": (SummaryInput, ("dim",), ()),
-    "softmax": (Softmax, (), ()),
+    cls.kind: cls
+    for cls in (Lstm, Dropout, AsImage, Conv2d, MaxPool2d, Flatten, Dense, SummaryInput, Softmax)
 }
+# the fields whose constructors check them; every other field is a positive integer
+_CHECKED_FIELDS = ("activation", "rate")
 
 
 def _layer_from_descriptor(entry) -> Layer:
@@ -543,17 +499,16 @@ def _layer_from_descriptor(entry) -> Layer:
     kind = entry.get("kind") if isinstance(entry, dict) else None
     if not isinstance(kind, str) or kind not in _LAYER_KINDS:
         raise ValueError(f"unknown layer kind {kind!r} in checkpoint")
-    cls, int_fields, other_fields = _LAYER_KINDS[kind]
-    for name in int_fields + other_fields:
+    cls = _LAYER_KINDS[kind]
+    for name in cls.fields:
         if name not in entry:
             raise ValueError(f"{kind} layer descriptor lacks {name!r}")
-    for name in int_fields:
         value = entry[name]
-        if type(value) is not int or value < 1:
+        if name not in _CHECKED_FIELDS and (type(value) is not int or value < 1):
             raise ValueError(
                 f"{kind} layer field {name!r} must be a positive integer, got {value!r}"
             )
-    layer = cls(*(entry[name] for name in int_fields + other_fields))
+    layer = cls(*(entry[name] for name in cls.fields))
     layer.trace_point = entry.get("trace", layer.trace_point)
     return layer
 
@@ -575,8 +530,6 @@ class Network:
         self.rng = np.random.default_rng(seed)
         for layer in self.layers:
             layer.initialize(self.rng)
-            if isinstance(layer, Dropout):
-                layer.bind_rng(self.rng)
 
     def forward(
         self, x, training=False, check_finite=True, start=0, stop=None, keep_cache=True

@@ -13,6 +13,7 @@ Used for preprocessed stream tensors and wavelet feature matrices.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -47,7 +48,7 @@ def read_tensor(path) -> np.ndarray:
     if len(raw) < off:
         raise ValueError(f"tensor file ends inside its {ndim} dims")
     dims = struct.unpack(f"<{ndim}Q", raw[_HEAD.size : off])
-    n = int(np.prod(dims, dtype=np.int64)) if ndim else 1
+    n = math.prod(dims)
     if len(raw) - off != 8 * n:
         raise ValueError("tensor payload size disagrees with declared shape")
     data = np.frombuffer(raw, dtype="<f8", count=n, offset=off)

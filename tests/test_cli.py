@@ -2,8 +2,10 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +180,16 @@ def test_features_rejects_tensor_cut_inside_its_dims(capsys, tmp_path):
     cut.write_bytes(whole.read_bytes()[:14])  # 7-byte header, then 7 of 16 dims bytes
     argv = ["features", "--in", str(cut), "--out", str(tmp_path / "f.csit")]
     assert_one_line_error(capsys, argv, "dims")
+
+
+def test_tensor_dims_past_int64_are_refused_without_a_warning(tmp_path):
+    # the element count is exact: a u64 dim of 2**63 neither wraps nor warns
+    path = tmp_path / "huge.csit"
+    path.write_bytes(b"CSIT" + struct.pack("<HB2Q", 1, 2, 2**63, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="payload size"):
+            read_tensor(path)
 
 
 def test_preprocess_counting_mode(capsys, tmp_path):

@@ -409,11 +409,6 @@ def test_count_windows_non_overlapping():
     assert all(w.values.shape == (200, 360) for w in windows)
 
 
-def test_count_windows_stride():
-    cap = random_capture(np.random.default_rng(0), 650)
-    assert len(count_windows_from_capture(cap, stride=100)) == 5
-
-
 def test_count_windows_short_capture_raises():
     cap = random_capture(np.random.default_rng(0), 199)
     with pytest.raises(ValueError):
@@ -747,3 +742,22 @@ def test_batched_activity_branch_matches_one_history_at_a_time(
     # identical models tie exactly: the earlier label of the enumeration wins
     twins = {ActivityLabel.RUNNING: zero_start, ActivityLabel.WALKING: zero_start}
     assert classify_activity(twins, batched) == [ActivityLabel.WALKING] * len(stack)
+
+
+def test_online_lowpass_context_is_bounded_at_high_rates(activity_models, monkeypatch):
+    # at 1e5 Hz the low-pass's reflection pad is 1,500 rows; the stream caps
+    # it at ACTIVITY_HISTORY - 1, as a single history does, so the rows each
+    # window filters stop growing with the capture's rate
+    _, models = activity_models
+    rows = []
+
+    def recording(series, rate_hz, cutoff_hz):
+        rows.append(np.shape(series)[0])
+        return butterworth_lowpass(series, rate_hz, cutoff_hz)
+
+    monkeypatch.setattr(counting, "butterworth_lowpass", recording)
+    ref = random_capture(np.random.default_rng(13), 1200)
+    capture = CsiCapture(ref.values, np.arange(1200) / 1e5, 1e5, 2, 3, 30)
+    timeline = run_online(CountSession(build_fcbp(seed=0), hmm_models=models), capture)
+    assert [step.activity is None for step in timeline] == [True] * 5 + [False]
+    assert rows and max(rows) <= WINDOW_LEN + 2 * (ACTIVITY_HISTORY - 1)

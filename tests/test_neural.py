@@ -89,6 +89,21 @@ def test_initialization_is_seeded():
     c = build_cnn_lstm_toy(seed=4)
     assert np.array_equal(a.get_param_vector(), b.get_param_vector())
     assert not np.array_equal(a.get_param_vector(), c.get_param_vector())
+    # the checkpoint's parameter order, and the order of the draws below
+    assert [name for name, _, _ in a.params()] == [
+        "layer0.W", "layer0.U", "layer0.b", "layer3.W", "layer3.b", "layer5.W", "layer5.b",
+        "layer7.W", "layer7.b", "layer8.W", "layer8.b", "layer9.W", "layer9.b",
+    ]
+    # one generator draws every weight in layer order, uniform within
+    # 1/sqrt(fan_in), where fan_in is all axes but the output one; biases
+    # start at zero and draw nothing
+    rng = np.random.default_rng(3)
+    for name, value, _ in a.params():
+        if name.endswith(".b"):
+            assert not value.any(), name
+        else:
+            bound = 1.0 / np.sqrt(np.prod(value.shape[:-1]))
+            assert np.array_equal(value, rng.uniform(-bound, bound, value.shape)), name
 
 
 # ----------------------------------------------------------- forward pass
@@ -399,14 +414,14 @@ def test_gradcheck_top_k_subset():
 
 def test_dropout_identity_at_inference():
     layer = Dropout(0.1)
-    layer.bind_rng(np.random.default_rng(0))
+    layer.initialize(np.random.default_rng(0))
     x = np.ones((4, 10))
     assert layer.forward(x, training=False) is x
 
 
 def test_dropout_keep_fraction():
     layer = Dropout(0.1)
-    layer.bind_rng(np.random.default_rng(22))
+    layer.initialize(np.random.default_rng(22))
     n = 100_000
     out = layer.forward(np.ones((1, n)), training=True)
     kept = float(np.count_nonzero(out)) / n
@@ -418,7 +433,7 @@ def test_dropout_keep_fraction():
 
 def test_dropout_backward_reuses_mask():
     layer = Dropout(0.3)
-    layer.bind_rng(np.random.default_rng(23))
+    layer.initialize(np.random.default_rng(23))
     x = np.ones((2, 50))
     out = layer.forward(x, training=True)
     dout = np.ones_like(out)
@@ -607,9 +622,63 @@ def test_finetune_validates_label():
 # ---------------------------------------------------------------- storage
 
 
-def test_checkpoint_round_trip_bitwise(tmp_path):
-    net = build_cnn_lstm_toy(seed=32)
-    x, labels = toy_batch(seed=33)
+# every layer kind's checkpoint header, key order included
+CNN_LSTM_HEADER = (
+    '{"input_kind": "sequence", "seed": 32, "layers": ['
+    '{"kind": "lstm", "in_dim": 360, "cells": 64, "trace": true}, '
+    '{"kind": "dropout", "rate": 0.1, "trace": false}, '
+    '{"kind": "as_image", "trace": false}, '
+    '{"kind": "conv2d", "in_channels": 1, "out_channels": 6, "kh": 5, "kw": 5, '
+    '"stride": 1, "activation": "relu", "trace": false}, '
+    '{"kind": "maxpool2d", "size": 2, "trace": true}, '
+    '{"kind": "conv2d", "in_channels": 6, "out_channels": 10, "kh": 5, "kw": 3, '
+    '"stride": 3, "activation": "relu", "trace": true}, '
+    '{"kind": "flatten", "trace": true}, '
+    '{"kind": "dense", "in_dim": 3200, "out_dim": 1000, "activation": "relu", "trace": true}, '
+    '{"kind": "dense", "in_dim": 1000, "out_dim": 200, "activation": "relu", "trace": true}, '
+    '{"kind": "dense", "in_dim": 200, "out_dim": 5, "activation": "linear", "trace": true}, '
+    '{"kind": "softmax", "trace": false}]}'
+)
+FCBP_HEADER = (
+    '{"input_kind": "summary", "seed": 32, "layers": ['
+    '{"kind": "summary_input", "dim": 360, "trace": true}, '
+    '{"kind": "dense", "in_dim": 360, "out_dim": 300, "activation": "relu", "trace": true}, '
+    '{"kind": "dense", "in_dim": 300, "out_dim": 100, "activation": "relu", "trace": true}, '
+    '{"kind": "dense", "in_dim": 100, "out_dim": 5, "activation": "linear", "trace": true}, '
+    '{"kind": "softmax", "trace": false}]}'
+)
+CNN_LSTM_TOY_HEADER = (
+    '{"input_kind": "sequence", "seed": 32, "layers": ['
+    '{"kind": "lstm", "in_dim": 20, "cells": 16, "trace": true}, '
+    '{"kind": "dropout", "rate": 0.1, "trace": false}, '
+    '{"kind": "as_image", "trace": false}, '
+    '{"kind": "conv2d", "in_channels": 1, "out_channels": 3, "kh": 3, "kw": 3, '
+    '"stride": 1, "activation": "relu", "trace": false}, '
+    '{"kind": "maxpool2d", "size": 2, "trace": true}, '
+    '{"kind": "conv2d", "in_channels": 3, "out_channels": 4, "kh": 3, "kw": 3, '
+    '"stride": 2, "activation": "relu", "trace": true}, '
+    '{"kind": "flatten", "trace": true}, '
+    '{"kind": "dense", "in_dim": 24, "out_dim": 16, "activation": "relu", "trace": true}, '
+    '{"kind": "dense", "in_dim": 16, "out_dim": 10, "activation": "relu", "trace": true}, '
+    '{"kind": "dense", "in_dim": 10, "out_dim": 5, "activation": "linear", "trace": true}, '
+    '{"kind": "softmax", "trace": false}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "build, sample_shape, header",
+    [
+        pytest.param(build_cnn_lstm, (200, 360), CNN_LSTM_HEADER, id="cnn_lstm"),
+        pytest.param(build_fcbp, (360,), FCBP_HEADER, id="fcbp"),
+        pytest.param(build_cnn_lstm_toy, (12, 20), CNN_LSTM_TOY_HEADER, id="cnn_lstm_toy"),
+    ],
+)
+def test_checkpoint_round_trip_bitwise(tmp_path, build, sample_shape, header):
+    net = build(seed=32)
+    assert json.dumps(net.descriptor()) == header
+    rng = np.random.default_rng(33)
+    x = rng.standard_normal((2, *sample_shape))
+    labels = 1 + rng.integers(0, 5, 2)
     net.loss_and_gradients(x, labels, training=True)
     net.sgd_step(0.2)
     path = tmp_path / "net.csnn"
