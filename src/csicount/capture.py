@@ -196,7 +196,8 @@ def write_capture(capture: CsiCapture, path) -> None:
 
 
 def read_capture(path) -> CsiCapture:
-    """Read a capture file, verifying magic, version, and payload integrity."""
+    """Read a capture file, verifying magic, version and payload size;
+    CsiCapture then checks the values as it does for any capture."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -228,7 +229,5 @@ def read_capture(path) -> CsiCapture:
     rec = np.frombuffer(payload, dtype=dtype)
     timestamps = rec["ts"].astype(np.float64)
     csi = np.ascontiguousarray(rec["csi"])
-    if not np.isfinite(csi).all():
-        raise NonFiniteValueError("capture payload contains non-finite values")
     values = csi.view(np.complex64).reshape(n_packets, n_tx * n_rx, n_sub)
     return CsiCapture(values, timestamps, float(rate_hz), n_tx, n_rx, n_sub, label)

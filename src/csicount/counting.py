@@ -195,16 +195,6 @@ def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> Confus
     return ConfusionMatrix(counts)
 
 
-def _most_probable(probs: np.ndarray):
-    """(count, probability vector) of a batch-1 pass; ties pick the smaller count."""
-    return int(probs[0].argmax()) + 1, probs[0]
-
-
-def predict_count(network: Network, window: CsiWindow):
-    """(most probable count, probability vector); ties pick the smaller count."""
-    return _most_probable(network.forward(_inputs(network, [window]), keep_cache=False))
-
-
 def window_heads(network: Network, windows) -> np.ndarray:
     """The last dense layer's inputs for a list of windows, one row each.
 
@@ -243,7 +233,7 @@ class CountSession:
     current_count: int = 0
     finetune_lr: float = 0.01
     finetune_steps: int = 5
-    event_log: list = field(default_factory=list)
+    event_log: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if not 0 <= self.current_count <= N_CLASSES:
@@ -266,11 +256,12 @@ def amend_and_finetune(
     as-is.  With an event the count becomes current+1 (enter) or current-1
     (leave, floored at 0); if the network disagrees with that count
     (clamped into 1..5, since the head cannot express 0), the window is
-    relabeled and the final dense layer alone is fine-tuned on it.
+    relabeled and the final dense layer alone is fine-tuned on it.  Ties in
+    the prediction pick the smaller count.
     """
     before = session.current_count
     net = session.network
-    prediction, _ = _most_probable(net.forward(head, start=net.last_dense, keep_cache=False))
+    prediction = int(net.forward(head, start=net.last_dense, keep_cache=False).argmax()) + 1
     if event is None:
         session.current_count = prediction
         session.event_log.append(

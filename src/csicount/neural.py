@@ -17,7 +17,7 @@ Each layer class declares its schema once: `kind` (its checkpoint name),
 bias.  Layer derives allocation, params(), n_params and the checkpoint
 descriptor from them, and the loader rebuilds a layer from its fields.
 
-Counting architecture (sequence input, window_len x 360):
+Counting architecture (sequence input, 200 x 360):
 
     LSTM(64) -> dropout(0.1) -> conv 6@5x5/1 + maxpool 2x2/2
     -> conv 10@5x3/3 -> flatten -> dense 1000 -> dense 200 -> dense 5
@@ -508,8 +508,11 @@ def _layer_from_descriptor(entry) -> Layer:
             raise ValueError(
                 f"{kind} layer field {name!r} must be a positive integer, got {value!r}"
             )
+    trace = entry.get("trace", cls.trace_point)
+    if type(trace) is not bool:
+        raise ValueError(f"{kind} layer field 'trace' must be a bool, got {trace!r}")
     layer = cls(*(entry[name] for name in cls.fields))
-    layer.trace_point = entry.get("trace", layer.trace_point)
+    layer.trace_point = trace
     return layer
 
 
@@ -531,22 +534,21 @@ class Network:
         for layer in self.layers:
             layer.initialize(self.rng)
 
-    def forward(
-        self, x, training=False, check_finite=True, start=0, stop=None, keep_cache=True
-    ) -> np.ndarray:
+    def forward(self, x, training=False, start=0, stop=None, keep_cache=True) -> np.ndarray:
         """Run layers[start:stop] (the whole stack by default) on x.
 
         Each layer keeps what its backward needs (its input, gates or row
         matrix) until the next forward.  An inference pass that will not be
         followed by backward passes keep_cache=False, which drops each
-        layer's cache as soon as the layer returns.
+        layer's cache as soon as the layer returns.  A non-finite layer
+        output raises FloatingPointError naming the layer.
         """
         out = np.asarray(x, dtype=np.float64)
         for i, layer in enumerate(self.layers[start:stop], start):
             out = layer.forward(out, training)
             if not keep_cache:
                 layer._cache = None
-            if check_finite and not np.isfinite(out).all():
+            if not np.isfinite(out).all():
                 raise FloatingPointError(f"non-finite output at layer {i} ({layer.name})")
         return out
 
@@ -630,12 +632,12 @@ class Network:
         }
 
 
-def build_cnn_lstm(seed: int = 0, window_len: int = 200, n_features: int = 360) -> Network:
-    """The full counting network (see module docstring for the stack)."""
+def build_cnn_lstm(seed: int = 0) -> Network:
+    """The full counting network on 200 x 360 windows (see module docstring)."""
     conv1 = Conv2d(1, 6, 5, 5, stride=1, activation="relu")
     conv1.trace_point = False  # the block's shape is read after its pool
     layers = [
-        Lstm(n_features, 64),
+        Lstm(360, 64),
         Dropout(0.1),
         AsImage(),
         conv1,
@@ -650,11 +652,11 @@ def build_cnn_lstm(seed: int = 0, window_len: int = 200, n_features: int = 360) 
     return Network(layers, input_kind="sequence", seed=seed)
 
 
-def build_fcbp(seed: int = 0, n_features: int = 360) -> Network:
+def build_fcbp(seed: int = 0) -> Network:
     """Fully-connected baseline on per-window feature means: 360-300-100-5."""
     layers = [
-        SummaryInput(n_features),
-        Dense(n_features, 300, "relu"),
+        SummaryInput(360),
+        Dense(360, 300, "relu"),
         Dense(300, 100, "relu"),
         Dense(100, 5, "linear"),
         Softmax(),
@@ -736,14 +738,15 @@ def finetune_last_dense(net: Network, head, label: int, lr: float = 0.01, steps:
 
     `head` is that layer's input, net.forward(x, stop=net.last_dense).  Its
     weights and bias follow the cross-entropy of the layers from it on
-    toward `label` (1-based); every other parameter is left untouched.
+    toward `label` (1-based); every other parameter is left untouched.  A
+    step whose output is non-finite raises FloatingPointError.
     """
     last = net.last_dense
     layer = net.layers[last]
     head = np.asarray(head, dtype=np.float64)
     labels = np.full(head.shape[0], int(label))
     for _ in range(steps):
-        probs = net.forward(head, check_finite=False, start=last, keep_cache=False)
+        probs = net.forward(head, start=last, keep_cache=False)
         _, g = _cross_entropy(probs, labels)
         layer.W -= lr * (head.T @ g)
         layer.b -= lr * g.sum(axis=0)
@@ -778,7 +781,10 @@ def load_network(path) -> Network:
     off = head.size + arch_len
     if off > len(raw):
         raise ValueError("checkpoint ends inside its architecture descriptor")
-    arch = json.loads(raw[head.size : off].decode("utf-8"))
+    try:
+        arch = json.loads(raw[head.size : off].decode("utf-8"))
+    except RecursionError:
+        raise ValueError("checkpoint architecture descriptor is nested too deeply") from None
     if not isinstance(arch, dict) or not isinstance(arch.get("layers"), list):
         raise ValueError("checkpoint architecture must hold a list of layers")
     seed = arch.get("seed")

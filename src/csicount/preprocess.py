@@ -15,14 +15,18 @@ from scipy.fft import next_fast_len
 from scipy.ndimage import median_filter
 from scipy.signal import fftconvolve
 
+BUTTERWORTH_ORDER = 4
+WMA_TAPS = 100
+
 
 def lowpass_pad(rate_hz: float, cutoff_hz: float) -> int:
     """Rows of reflection butterworth_lowpass adds at each end of a long signal."""
     return max(int(3 * rate_hz / cutoff_hz), 16)
 
 
-def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4):
-    """Zero-phase Butterworth low-pass along axis 0 (of any number of axes).
+def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float):
+    """Zero-phase Butterworth low-pass of order BUTTERWORTH_ORDER (4) along
+    axis 0 (of any number of axes).
 
     Realized in the frequency domain with the squared analog magnitude
     response 1 / (1 + (f / cutoff)^(2 * order)) - the zero-phase equivalent
@@ -35,8 +39,6 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
     x = np.asarray(series, dtype=np.float64)
     if not 0 < cutoff_hz < rate_hz / 2:
         raise ValueError("cutoff must lie strictly between 0 and the Nyquist rate")
-    if order < 1:
-        raise ValueError("order must be >= 1")
     shape = x.shape
     x = x.reshape(shape[0], -1)
     n = x.shape[0]
@@ -50,7 +52,7 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float, order: int = 4
     grow = next_fast_len(m, real=True) - m if pad < n - 1 else 0
     ext = np.concatenate([ext, ext[: grow // 2], ext[m - (grow - grow // 2) :]])
     freqs = np.fft.rfftfreq(ext.shape[0], d=1.0 / rate_hz)
-    gain = 1.0 / (1.0 + (freqs / cutoff_hz) ** (2 * order))
+    gain = 1.0 / (1.0 + (freqs / cutoff_hz) ** (2 * BUTTERWORTH_ORDER))
     out = np.fft.irfft(np.fft.rfft(ext, axis=0) * gain[:, None], n=ext.shape[0], axis=0)
     return out[pad : pad + n].reshape(shape)
 
@@ -75,8 +77,8 @@ def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
     return median_filter(h @ q, size=(1,) * (h.ndim - 2) + (5, 1), mode="nearest")
 
 
-def weighted_moving_average(series, m: int = 100):
-    """Descending-weight moving average along axis 0.
+def weighted_moving_average(series):
+    """Descending-weight moving average along axis 0, over m = WMA_TAPS (100).
 
     Output t averages the m most recent samples with weights m, m-1, .., 1
     (newest heaviest).  Early samples where fewer than m values exist use
@@ -84,16 +86,12 @@ def weighted_moving_average(series, m: int = 100):
     length equals the input length.
     """
     x = np.asarray(series, dtype=np.float64)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = WMA_TAPS
     shape = x.shape
     x = x.reshape(shape[0], -1)
     n = x.shape[0]
     kernel = np.arange(m, 0, -1, dtype=np.float64)  # weight m on lag 0
-    if m == 1:
-        num = x.copy()
-    else:
-        num = fftconvolve(x, kernel[:, None], mode="full", axes=0)[:n]
+    num = fftconvolve(x, kernel[:, None], mode="full", axes=0)[:n]
     lags = np.minimum(np.arange(n), m - 1)
     denom = m * (lags + 1) - lags * (lags + 1) / 2.0  # sum of m, m-1, .., m-lags
     return (num / denom[:, None]).reshape(shape)

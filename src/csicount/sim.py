@@ -114,36 +114,33 @@ class PhaseDistortion:
             raise ValueError("jitter_sigma must be non-negative")
 
 
-def subcarrier_frequencies(scene: Scene, n_sub: int = 30) -> np.ndarray:
+def subcarrier_frequencies(scene: Scene) -> np.ndarray:
+    """The scene's CsiCapture.n_sub (30) subcarrier frequencies, ascending."""
+    n_sub = CsiCapture.n_sub
     j = np.arange(n_sub, dtype=np.float64)
     return scene.carrier_hz + (j - (n_sub - 1) / 2.0) * scene.subcarrier_spacing_hz
 
 
 def simulate_capture(
-    scene: Scene,
-    duration: float,
-    rate_hz: float = 1500.0,
-    seed: int = 0,
-    n_tx: int = 2,
-    n_rx: int = 3,
-    n_sub: int = 30,
+    scene: Scene, duration: float, rate_hz: float = 1500.0, seed: int = 0
 ) -> CsiCapture:
     """Generate a capture of floor(duration * rate_hz) frames from a scene.
 
-    Deterministic for a given (scene, duration, rate, seed).  The returned
-    capture is labeled with the scene's person count.
+    The geometry is CsiCapture's default: CsiCapture.n_tx x CsiCapture.n_rx
+    (2 x 3) streams of CsiCapture.n_sub (30) subcarriers.  Deterministic for
+    a given (scene, duration, rate, seed).  The returned capture is labeled
+    with the scene's person count.
     """
     if not (np.isfinite(duration) and 0 < rate_hz < np.inf):
         raise ValueError("duration must be finite and rate_hz positive and finite")
     n_frames = int(np.floor(duration * rate_hz))
     if n_frames < 1:
         raise ValueError("duration * rate_hz must cover at least one frame")
-    n_streams = n_tx * n_rx
     t = np.arange(n_frames, dtype=np.float64) / rate_hz
-    freqs = subcarrier_frequencies(scene, n_sub)
-    streams = np.arange(n_streams, dtype=np.float64)
+    freqs = subcarrier_frequencies(scene)
+    streams = np.arange(CsiCapture.n_tx * CsiCapture.n_rx, dtype=np.float64)
 
-    h = np.zeros((n_frames, n_streams, n_sub), dtype=np.complex128)
+    h = np.zeros((n_frames, streams.size, freqs.size), dtype=np.complex128)
     for path in scene.all_paths():
         tau_t = path.initial_delay + 2.0 * path.velocity * t / C_LIGHT
         tau = tau_t[:, None] + streams[None, :] * path.stream_delay_step
@@ -155,15 +152,7 @@ def simulate_capture(
         h += scale * rng.standard_normal(h.shape)
         h += 1j * scale * rng.standard_normal(h.shape)
 
-    return CsiCapture(
-        h.astype(np.complex64),
-        t,
-        rate_hz,
-        n_tx,
-        n_rx,
-        n_sub,
-        label=str(scene.n_persons),
-    )
+    return CsiCapture(h.astype(np.complex64), t, rate_hz, label=str(scene.n_persons))
 
 
 def inject_phase_offsets(

@@ -339,6 +339,14 @@ def test_online_rejects_hostile_checkpoint(capsys, tmp_path):
     assert_one_line_error(capsys, argv, "architecture needs")
 
 
+def test_eval_rejects_deeply_nested_checkpoint_header(capsys, tmp_path):
+    blob = b"[" * 100_000
+    ckpt = tmp_path / "deep.csnn"
+    ckpt.write_bytes(b"CSNN" + (1).to_bytes(2, "little") + len(blob).to_bytes(4, "little") + blob)
+    argv = ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "unread.json")]
+    assert_one_line_error(capsys, argv, "nested too deeply")
+
+
 def test_train_count_rejects_bad_manifest(capsys, tmp_path):
     manifest = tmp_path / "empty.json"
     manifest.write_text(json.dumps({"regime": "fixed", "items": []}))

@@ -21,7 +21,6 @@ from csicount.counting import (
     amend_and_finetune,
     count_windows_from_capture,
     evaluate,
-    predict_count,
     run_online,
     train,
     window_heads,
@@ -242,23 +241,16 @@ def test_untrained_network_sits_at_chance():
 # --------------------------------------------------- prediction and amending
 
 
-def test_predict_count_returns_probability_vector():
-    rng = np.random.default_rng(2)
-    count, probs = predict_count(build_fcbp(seed=4), summary_window(rng))
-    assert probs.shape == (5,)
-    assert np.all(probs >= 0) and np.all(probs <= 1)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    assert count == int(probs.argmax()) + 1
-
-
-def test_predict_count_tie_prefers_smaller_count():
+def test_amend_tie_prefers_smaller_count():
     net = build_fcbp(seed=4)
-    dense = [l for l in net.layers if isinstance(l, Dense)][-1]
+    dense = net.layers[net.last_dense]
     dense.W[...] = 0.0
     dense.b[...] = 0.0  # uniform probabilities: a five-way tie resolves to 1
-    count, probs = predict_count(net, summary_window(np.random.default_rng(0)))
-    assert count == 1
-    assert np.allclose(probs, 0.2)
+    head = window_heads(net, [summary_window(np.random.default_rng(0))])
+    assert np.allclose(net.forward(head, start=net.last_dense), 0.2)
+    session = CountSession(net, current_count=3)
+    assert amend_and_finetune(session, head, None) == 1
+    assert session.event_log[-1].prediction == 1
 
 
 def test_session_validation():
@@ -274,6 +266,8 @@ def test_session_validation():
             CountSession(net, finetune_lr=lr)
     with pytest.raises(ValueError):
         CountSession(net, finetune_steps=0)
+    with pytest.raises(TypeError):
+        CountSession(net, event_log=[])  # every session starts with an empty log
 
 
 def test_amend_without_event_trusts_network():
@@ -335,7 +329,7 @@ def test_front_layers_run_once_per_online_block():
     assert session.event_log[-1].action == "finetune"
     last = net.last_dense  # the head runs once, and once per step
     assert calls == [0] * last + [1 + session.finetune_steps] * (len(net.layers) - last)
-    assert predict_count(ref, window)[0] == 5
+    assert ref.forward(window.values[None]).argmax() == 4  # predicts 5
     lr, steps = session.finetune_lr, session.finetune_steps
     finetune_last_dense(ref, ref.forward(window.values[None], stop=ref.last_dense), 2, lr, steps)
     for (name, a, _), (_, b, _) in zip(net.params(), ref.params()):

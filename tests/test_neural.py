@@ -613,6 +613,16 @@ def test_first_layer_skips_its_input_gradient():
     assert lstm.backward(np.ones_like(out), need_dx=False) is None
 
 
+def test_finetune_step_with_non_finite_output_raises():
+    # the first step's update overflows the logits; the second step's
+    # forward pass, not a later inference, reports it
+    net = build_fcbp(seed=31)
+    x = np.random.default_rng(31).standard_normal((1, 360))
+    head = net.forward(x, stop=net.last_dense)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        finetune_last_dense(net, head, 1, lr=1e308, steps=2)
+
+
 def test_finetune_validates_label():
     net = build_fcbp(seed=31)
     with pytest.raises(ValueError):
@@ -732,6 +742,14 @@ def test_checkpoint_too_large_for_its_file_is_refused_before_allocation(tmp_path
         load_network(path)
 
 
+def test_checkpoint_with_deeply_nested_header_is_refused(tmp_path):
+    path = tmp_path / "deep.csnn"
+    blob = b"[" * 100_000
+    path.write_bytes(struct.pack("<4sHI", b"CSNN", 1, len(blob)) + blob)
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_network(path)
+
+
 MISSING = object()
 
 
@@ -747,6 +765,8 @@ MISSING = object()
         {"in_dim": -360},
         {"out_dim": 0},
         {"activation": "tanh"},
+        {"trace": "no"},
+        {"trace": 1},
     ],
 )
 def test_checkpoint_with_bad_layer_descriptor_is_refused(tmp_path, monkeypatch, layer_edit):

@@ -51,7 +51,7 @@ def static_scene(noise=0.0):
 
 def test_subcarrier_frequencies_span():
     scene = static_scene()
-    f = subcarrier_frequencies(scene, 30)
+    f = subcarrier_frequencies(scene)
     assert f.shape == (30,)
     assert np.isclose(f[0], 5e9 - 14.5 * 625e3)
     assert np.isclose(f[-1], 5e9 + 14.5 * 625e3)
