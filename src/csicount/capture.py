@@ -91,8 +91,10 @@ class CsiCapture:
     def _validate(self) -> None:
         if min(self.n_tx, self.n_rx, self.n_sub) < 1:
             raise CaptureError("antenna and subcarrier counts must be >= 1")
-        if not 0 < self.rate_hz < np.inf:
-            raise CaptureError(f"rate_hz must be positive and finite, got {self.rate_hz}")
+        with np.errstate(over="ignore"):  # the file header stores the rate as an f32
+            rate32 = np.float32(self.rate_hz)
+        if not 0 < rate32 < np.inf:
+            raise CaptureError(f"rate_hz must be a positive, finite float32, got {self.rate_hz}")
         if len(self.label.encode("utf-8")) > 255:
             raise CaptureError("label exceeds 255 UTF-8 bytes")
         if self.values.ndim != 3 or self.values.shape[1:] != (self.n_streams, self.n_sub):

@@ -95,13 +95,17 @@ def _setup_logging() -> None:
     )
 
 
-def _load_manifest(path: str) -> tuple[dict, Path]:
+def _load_manifest(path: str, key: str) -> tuple[dict, Path, list]:
+    """The manifest object, its directory and its non-empty `key` list."""
     p = Path(path)
     with open(p, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: manifest must be a JSON object")
-    return data, p.parent
+    entries = data.get(key)
+    if not isinstance(entries, list) or not entries:
+        raise ValueError(f"{path}: manifest needs a non-empty {key!r} list")
+    return data, p.parent, entries
 
 
 def _cmd_simulate(args) -> int:
@@ -158,11 +162,10 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_train_hmm(args) -> int:
-    manifest, base = _load_manifest(args.data)
+    manifest, base, paths = _load_manifest(args.data, "captures")
     label = manifest.get("label", "")
-    paths = manifest.get("captures")
-    if not paths:
-        raise ValueError(f"{args.data}: manifest needs a non-empty 'captures' list")
+    if not isinstance(label, str) or not all(isinstance(rel, str) for rel in paths):
+        raise ValueError(f"{args.data}: 'label' and each capture must be strings")
     sequences = []
     for rel in paths:
         capture = read_capture(base / rel)
@@ -210,18 +213,18 @@ def _cmd_classify(args) -> int:
 
 
 def _count_dataset(manifest_path: str, regime_flag: str | None) -> Dataset:
-    manifest, base = _load_manifest(manifest_path)
+    manifest, base, items = _load_manifest(manifest_path, "items")
     regime = regime_flag or manifest.get("regime", "fixed")
-    items = manifest.get("items")
-    if not items:
-        raise ValueError(f"{manifest_path}: manifest needs a non-empty 'items' list")
     samples = []
     for item in items:
+        if not isinstance(item, dict) or not isinstance(item.get("path"), str):
+            raise ValueError(f"{manifest_path}: each item needs a string 'path'")
+        if type(item.get("label")) is not int:  # a JSON integer: int() takes true and 2.7
+            raise ValueError(f"{manifest_path}: each item needs an integer 'label'")
         capture = read_capture(base / item["path"])
-        label = int(item["label"])
         for window in count_windows_from_capture(capture):
-            samples.append((window, label))
-        log.info("loaded %s label=%d", item["path"], label)
+            samples.append((window, item["label"]))
+        log.info("loaded %s label=%d", item["path"], item["label"])
     return Dataset(samples, regime=regime)
 
 

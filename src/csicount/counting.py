@@ -50,7 +50,6 @@ WINDOW_LEN = 200
 ACTIVITY_HISTORY = 1024  # samples of amplitude fed to the activity branch
 ACTIVITY_CUTOFF_HZ = 200.0
 ACTIVITY_LEVELS = 10
-ACTIVITY_FEATURE_WINDOW = 128
 # Windows per front pass in run_online.  Batching spreads the per-step cost
 # of the LSTM's 200 recurrent steps over the block, but the block's windows,
 # their stacked input and the front layers' outputs are all alive at once:
@@ -231,15 +230,11 @@ class CountSession:
     network: Network
     hmm_models: dict = field(default_factory=dict)
     current_count: int = 0
-    finetune_lr: float = 0.01
-    finetune_steps: int = 5
     event_log: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         if not 0 <= self.current_count <= N_CLASSES:
             raise ValueError(f"current_count must be in 0..{N_CLASSES}")
-        if not 0 < self.finetune_lr < np.inf or self.finetune_steps < 1:
-            raise ValueError("fine-tune settings must be positive and finite")
 
 
 def amend_and_finetune(
@@ -278,7 +273,7 @@ def amend_and_finetune(
     if prediction == clamped_label:
         action = "skip"
     else:
-        finetune_last_dense(net, head, clamped_label, session.finetune_lr, session.finetune_steps)
+        finetune_last_dense(net, head, clamped_label)
         action = "finetune"
     session.current_count = expected
     session.event_log.append(
@@ -331,9 +326,7 @@ def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
 def _filtered_features(filtered: np.ndarray) -> np.ndarray:
     """activity_features after the low-pass, for one (n, d) history or a (B, n, d)
     stack: PCA and the wavelet cascade each run once over the whole stack."""
-    matrix = feature_matrix_from_components(
-        pca_denoise(filtered), levels=ACTIVITY_LEVELS, window=ACTIVITY_FEATURE_WINDOW
-    )
+    matrix = feature_matrix_from_components(pca_denoise(filtered), levels=ACTIVITY_LEVELS)
     return np.ascontiguousarray(np.swapaxes(matrix, -1, -2))
 
 

@@ -16,6 +16,7 @@ from enum import Enum
 import numpy as np
 
 VARIANCE_FLOOR = 1e-6
+FIT_TOL = 1e-4  # Baum-Welch stops when the log-likelihood gains less than this
 
 MODEL_MAGIC = b"CSIH"
 MODEL_VERSION = 1
@@ -97,9 +98,8 @@ class GaussianHmm:
 
 
 def _check_obs(model: GaussianHmm, obs) -> np.ndarray:
-    """obs as a (B, T, D) stack; one (T, D) or (T,) sequence gives B = 1."""
+    """obs as a (B, T, D) stack; one (T, D) sequence gives B = 1."""
     x = np.asarray(obs, dtype=np.float64)
-    x = x[:, None] if x.ndim == 1 else x
     x = x[None] if x.ndim == 2 else x
     if x.ndim != 3 or x.shape[2] != model.n_features:
         raise ValueError(f"sequences must be (T, {model.n_features}), got {x.shape[1:]}")
@@ -173,31 +173,29 @@ def _kmeans_init(frames: np.ndarray, k: int, rng) -> np.ndarray:
 def fit_hmm(
     sequences,
     n_states: int = 4,
-    tol: float = 1e-4,
     max_iter: int = 100,
     seed: int = 0,
     label: str = "",
 ) -> GaussianHmm:
-    """Baum-Welch fit over one or more observation sequences.
+    """Baum-Welch fit over one or more (T, D) observation sequences.
 
     Initialization is deterministic for a given seed: emission means come
     from a seeded k-means over all frames, variances from the per-cluster
     spread, the initial distribution is uniform, and the transition matrix
     is uniform with a boosted diagonal.  Iteration stops when the total
-    log-likelihood improves by less than `tol` or after `max_iter` rounds;
+    log-likelihood improves by less than FIT_TOL or after `max_iter` rounds;
     the per-iteration log-likelihoods are kept on the returned model.
 
     Emission variances are floored at VARIANCE_FLOOR, so degenerate
     (constant) inputs fit without failure.
     """
     seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
-    seqs = [s[:, None] if s.ndim == 1 else s for s in seqs]
     if not seqs:
         raise ValueError("need at least one observation sequence")
-    dim = seqs[0].shape[1]
+    dim = seqs[0].shape[-1]
     for s in seqs:
         if s.ndim != 2 or s.shape[1] != dim:
-            raise ValueError("observation sequences disagree on dimensionality")
+            raise ValueError("observation sequences must be (T, D) with one D")
         if s.shape[0] < n_states:
             raise ValueError("each sequence must be at least n_states long")
         if not np.isfinite(s).all():
@@ -260,7 +258,7 @@ def fit_hmm(
             trans_acc += model.transition * ((alpha[:-1] / total[:, None]).T @ w)
 
         history.append(total_ll)
-        if len(history) > 1 and abs(history[-1] - history[-2]) < tol:
+        if len(history) > 1 and abs(history[-1] - history[-2]) < FIT_TOL:
             break
 
         # a state can lose all posterior mass (e.g. a k-means cluster that
@@ -304,16 +302,15 @@ def classify_activity(models, obs):
 class DoorEventDetector:
     """Debounces per-window labels into door events.
 
-    An event fires once `debounce` consecutive windows carry the same door
-    label (entering or leaving), at the window where the run reaches that
-    length.  After firing, the detector stays quiet until a non-door label
-    re-arms it; a change of door label restarts the run.
+    An event fires once `debounce` (3) consecutive windows carry the same
+    door label (entering or leaving), at the window where the run reaches
+    that length.  After firing, the detector stays quiet until a non-door
+    label re-arms it; a change of door label restarts the run.
     """
 
-    def __init__(self, debounce: int = 3):
-        if debounce < 1:
-            raise ValueError("debounce must be >= 1")
-        self.debounce = debounce
+    debounce = 3
+
+    def __init__(self):
         self._kind = None
         self._run = 0
         self._armed = True

@@ -47,6 +47,8 @@ CHECKPOINT_MAGIC = b"CSNN"
 CHECKPOINT_VERSION = 1
 
 PROB_CLAMP = 1e-12
+FINETUNE_LR = 0.01  # the online amendment's fine-tune of the last dense layer
+FINETUNE_STEPS = 5
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -733,8 +735,8 @@ def finite_difference_check(
     return worst
 
 
-def finetune_last_dense(net: Network, head, label: int, lr: float = 0.01, steps: int = 5) -> None:
-    """Run `steps` SGD steps on the final dense layer only.
+def finetune_last_dense(net: Network, head, label: int) -> None:
+    """Run FINETUNE_STEPS SGD steps of FINETUNE_LR on the final dense layer only.
 
     `head` is that layer's input, net.forward(x, stop=net.last_dense).  Its
     weights and bias follow the cross-entropy of the layers from it on
@@ -745,11 +747,11 @@ def finetune_last_dense(net: Network, head, label: int, lr: float = 0.01, steps:
     layer = net.layers[last]
     head = np.asarray(head, dtype=np.float64)
     labels = np.full(head.shape[0], int(label))
-    for _ in range(steps):
+    for _ in range(FINETUNE_STEPS):
         probs = net.forward(head, start=last, keep_cache=False)
         _, g = _cross_entropy(probs, labels)
-        layer.W -= lr * (head.T @ g)
-        layer.b -= lr * g.sum(axis=0)
+        layer.W -= FINETUNE_LR * (head.T @ g)
+        layer.b -= FINETUNE_LR * g.sum(axis=0)
 
 
 def save_network(net: Network, path) -> None:
@@ -766,7 +768,8 @@ def load_network(path) -> Network:
     """Read a checkpoint written by save_network.
 
     The architecture is validated, and the parameter bytes it implies are
-    checked against the file, before any layer allocates its parameters.
+    checked against the file and for non-finite values, before any layer
+    allocates its parameters.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -796,11 +799,9 @@ def load_network(path) -> Network:
         raise ValueError(
             f"checkpoint holds {len(raw) - off} parameter bytes; its architecture needs {need}"
         )
+    params = np.frombuffer(raw, dtype="<f8", offset=off)
+    if not np.isfinite(params).all():
+        raise ValueError("checkpoint holds non-finite parameters")
     net = Network(layers, input_kind=arch.get("input_kind"), seed=seed)
-    for _, value, _ in net.params():
-        n = value.size
-        value[...] = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(
-            value.shape
-        )
-        off += 8 * n
+    net.set_param_vector(params)
     return net

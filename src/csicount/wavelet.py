@@ -11,6 +11,9 @@ time axis: detail coefficient n at level l sits at sample n * 2^l, and each
 128-sample window contributes the mean of the squared coefficients it covers
 (an energy row) and their variance (a variance row), giving a 2L x n_windows
 matrix (20 rows for 10 levels), averaged over columns decomposed together.
+The window is 2^7 samples so that the levels tile it: each window holds
+2^(7-l) coefficients of level l <= 7, and above level 7 one coefficient
+spans 2^(l-7) windows.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ D4_LOWPASS = np.array(
 D4_HIGHPASS = np.array(
     [D4_LOWPASS[3], -D4_LOWPASS[2], D4_LOWPASS[1], -D4_LOWPASS[0]]
 )
+WINDOW_LEVEL = 7
+FEATURE_WINDOW = 2**WINDOW_LEVEL  # samples summarised per feature column
 
 
 @dataclass(frozen=True)
@@ -108,46 +113,40 @@ def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
     return x
 
 
-def extract_features(decomp: WaveletDecomposition, window: int = 128) -> np.ndarray:
+def extract_features(decomp: WaveletDecomposition) -> np.ndarray:
     """Per-level energy and variance of squared details over time windows.
 
     Returns a (2 * levels, n_windows) matrix: row l-1 is the energy of level
     l, row levels + l - 1 its variance.
 
-    Window j covers original samples [j * window, (j + 1) * window); detail
+    Window j covers original samples [j * 128, (j + 1) * 128); detail
     coefficient n at level l is assigned to the window containing sample
-    n * 2^l.  Windows that receive no coefficient at a level carry the
-    level's last defined value forward.  Only complete windows are kept.
-    Details of shape (n_l, k), a cascade over k columns, give the mean of
-    the k columns' matrices; details of shape (n_l, B, k) give B of them.
+    n * 2^l.  Up to level 7 (128 = 2^7) each window holds 2^(7-l)
+    coefficients, reshaped into a row per window; above it a coefficient
+    starts every 2^(l-7)-th window and the windows up to the next repeat
+    its square, with variance 0.  Only complete windows are kept.  Details
+    of shape (n_l, k), a cascade over k columns, give the mean of the k
+    columns' matrices; details of shape (n_l, B, k) give B of them.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    n_windows = decomp.signal_len // window
+    n_windows = decomp.signal_len // FEATURE_WINDOW
     if n_windows < 1:
         raise ValueError("signal shorter than one feature window")
-    levels = decomp.levels
     batch = decomp.details[0].shape[1:-1]
-    values = np.zeros((2 * levels, n_windows) + batch)
+    energy, variance = [], []
     for lv, detail in enumerate(decomp.details, start=1):
-        pos = np.arange(detail.shape[0]) * (2**lv) // window
-        pos = pos[pos < n_windows]
-        starts = np.flatnonzero(np.diff(pos, prepend=-1))
-        counts = np.diff(starts, append=pos.size)
-        sq = detail[: pos.size].reshape(pos.size, *batch, -1) ** 2
-        per_run = counts.reshape(-1, *(1,) * (sq.ndim - 1))
-        energy = np.add.reduceat(sq, starts, axis=0) / per_run
-        dev = (sq - np.repeat(energy, counts, axis=0)) ** 2
-        variance = np.add.reduceat(dev, starts, axis=0) / per_run
-        fill = np.searchsorted(pos[starts], np.arange(n_windows), side="right")
-        for row, runs in ((lv - 1, energy), (levels + lv - 1, variance)):
-            values[row] = np.concatenate([np.zeros_like(runs[:1]), runs])[fill].mean(axis=-1)
+        sq = detail.reshape(detail.shape[0], *batch, -1) ** 2
+        if lv <= WINDOW_LEVEL:
+            sq = sq[: n_windows * FEATURE_WINDOW >> lv].reshape(n_windows, -1, *sq.shape[1:])
+            energy.append(sq.mean(axis=1))
+            variance.append(sq.var(axis=1))
+        else:
+            energy.append(np.repeat(sq, 2 ** (lv - WINDOW_LEVEL), axis=0)[:n_windows])
+            variance.append(np.zeros_like(energy[-1]))
+    values = np.stack(energy + variance).mean(axis=-1)
     return np.moveaxis(values, (0, 1), (-2, -1))
 
 
-def feature_matrix_from_components(
-    components: np.ndarray, levels: int = 10, window: int = 128
-) -> np.ndarray:
+def feature_matrix_from_components(components: np.ndarray, levels: int = 10) -> np.ndarray:
     """Average the feature matrices of several component signals.
 
     `components` is (n_samples, n_components); one cascade decomposes all
@@ -156,7 +155,6 @@ def feature_matrix_from_components(
     n_components) stack yields one matrix per set from the same cascade.
     """
     comp = np.asarray(components, dtype=np.float64)
-    comp = comp[:, None] if comp.ndim == 1 else comp
     if comp.shape[-1] < 1:
         raise ValueError("need at least one component")
-    return extract_features(_cascade(np.moveaxis(comp, -2, 0), levels), window)
+    return extract_features(_cascade(np.moveaxis(comp, -2, 0), levels))

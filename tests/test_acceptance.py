@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from csicount import hmm
 from csicount.capture import (
     CsiCapture,
     read_capture,
@@ -243,10 +244,11 @@ def _enumerate_paths(model, x):
     return scored
 
 
-def test_hmm_inference_matches_enumeration_at_scale():
+def test_hmm_inference_matches_enumeration_at_scale(monkeypatch):
     # 50 random small models: the forward likelihood agrees with
     # brute-force summation over all state paths, and refinement never
     # decreases the data likelihood
+    monkeypatch.setattr(hmm, "FIT_TOL", 0.0)  # no early stop
     rng = np.random.default_rng(4)
     started = time.monotonic()
     for _ in range(50):
@@ -264,7 +266,7 @@ def test_hmm_inference_matches_enumeration_at_scale():
                 rng.normal(3.0, 0.5, (30, 2)),
             ]
         )
-        fitted = fit_hmm([data], n_states=2, tol=0.0, max_iter=25, seed=fit_seed)
+        fitted = fit_hmm([data], n_states=2, max_iter=25, seed=fit_seed)
         curve = np.array(fitted.fit_log_likelihoods)
         assert np.all(np.diff(curve) >= -1e-8)
     assert time.monotonic() - started < 30.0

@@ -165,7 +165,9 @@ def test_constructor_validation():
         CsiCapture(bad, np.array([0.0, 1.0]))
     with pytest.raises(CaptureError):
         CsiCapture(good, np.array([0.0, 1.0]), label="x" * 256)
-    for rate in (0.0, -1.0, np.inf, np.nan):
+    # the last two are positive and finite, but the header's f32 holds
+    # them as inf and 0.0
+    for rate in (0.0, -1.0, np.inf, np.nan, 1e39, 1e-50):
         with pytest.raises(CaptureError, match="rate_hz"):
             CsiCapture(good, np.array([0.0, 1.0]), rate_hz=rate)
 

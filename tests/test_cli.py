@@ -76,6 +76,10 @@ def test_runtime_failure_prints_one_line_diagnostic(capsys, tmp_path):
     for flag in ("--rate", "--duration"):
         argv = ["simulate", "--duration", "1", flag, "inf", "--out", out]
         assert_one_line_error(capsys, argv, "finite")
+    # rates the header's f32 would store as inf or as 0.0
+    for duration, rate in (("1e-38", "1e39"), ("1e50", "1e-50")):
+        argv = ["simulate", "--duration", duration, "--rate", rate, "--out", out]
+        assert_one_line_error(capsys, argv, "float32")
     # a duration whose frames cannot be allocated (about 10 PiB)
     assert_one_line_error(capsys, ["simulate", "--duration", "1e12", "--out", out], "allocate")
     cap, _ = simulate(capsys, tmp_path, "inf.csic", persons=1, duration=0.2, seed=1)
@@ -338,6 +342,17 @@ def test_online_rejects_hostile_checkpoint(capsys, tmp_path):
     argv = ["online", "--ckpt", str(ckpt), "--capture", str(tmp_path / "unread.csic")]
     assert_one_line_error(capsys, argv, "architecture needs")
 
+    # a parameter that is NaN: eval and online once printed the forward
+    # pass's FloatingPointError traceback
+    net = build_fcbp(seed=0)
+    net.layers[net.last_dense].b[0] = np.nan
+    save_network(net, ckpt)
+    for argv in (
+        ["online", "--ckpt", str(ckpt), "--capture", str(tmp_path / "unread.csic")],
+        ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "unread.json")],
+    ):
+        assert_one_line_error(capsys, argv, "non-finite parameters")
+
 
 def test_eval_rejects_deeply_nested_checkpoint_header(capsys, tmp_path):
     blob = b"[" * 100_000
@@ -364,6 +379,53 @@ def test_train_count_rejects_bad_manifest(capsys, tmp_path):
         argv = ["train-count", "--data", str(manifest), "--net", "fcbp", "--lr", lr,
                 "--iters", "5", "--batch", "1", "--out", str(tmp_path / "n")]
         assert_one_line_error(capsys, argv, needle)
+
+    # manifests with the wrong JSON types; eval reads the same manifests
+    ckpt = tmp_path / "net.csnn"
+    save_network(build_fcbp(seed=0), ckpt)
+    no_list = "manifest needs a non-empty 'items' list"
+    no_path = "each item needs a string 'path'"
+    no_label = "each item needs an integer 'label'"
+    for items, message in (
+        (5, no_list),
+        ({"path": cap.name, "label": 1}, no_list),
+        ([cap.name], no_path),
+        ([{"path": 5, "label": 1}], no_path),
+        ([{"label": 1}], no_path),
+        ([{"path": cap.name, "label": [1]}], no_label),
+        ([{"path": cap.name, "label": None}], no_label),
+        ([{"path": cap.name}], no_label),
+        ([{"path": cap.name, "label": True}], no_label),
+        ([{"path": cap.name, "label": 2.7}], no_label),  # int() would make it 2
+    ):
+        manifest.write_text(json.dumps({"items": items}))
+        for argv in (
+            ["train-count", "--data", str(manifest), "--net", "fcbp", "--out", str(ckpt) + ".new"],
+            ["eval", "--ckpt", str(ckpt), "--data", str(manifest)],
+        ):
+            assert_one_line_error(capsys, argv, f"{manifest}: {message}")
+
+
+def test_train_hmm_rejects_bad_manifest(capsys, tmp_path):
+    # each manifest is refused before any capture is read
+    manifest = tmp_path / "walk.json"
+    out = tmp_path / "walk.hmm"
+    no_list = "manifest needs a non-empty 'captures' list"
+    not_strings = "'label' and each capture must be strings"
+    for data, message in (
+        ({"label": "W", "captures": []}, no_list),
+        ({"label": "W"}, no_list),
+        ({"label": "W", "captures": 3}, no_list),
+        ({"label": "W", "captures": "w.csic"}, no_list),
+        ({"label": "W", "captures": [{"a": 1}]}, not_strings),
+        ({"label": "W", "captures": [3]}, not_strings),
+        ({"label": 5, "captures": ["w.csic"]}, not_strings),
+        ({"label": None, "captures": ["w.csic"]}, not_strings),
+    ):
+        manifest.write_text(json.dumps(data))
+        argv = ["train-hmm", "--data", str(manifest), "--states", "2", "--out", str(out)]
+        assert_one_line_error(capsys, argv, f"{manifest}: {message}")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- gradcheck

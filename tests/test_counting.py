@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csicount import counting
+from csicount import counting, neural
 from csicount.capture import CsiCapture, concat_captures, split_streams
 from csicount.counting import (
     ACTIVITY_HISTORY,
@@ -261,11 +261,6 @@ def test_session_validation():
     # than one (9 -> 5 on an enter)
     with pytest.raises(ValueError, match="0..5"):
         CountSession(net, current_count=6)
-    for lr in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            CountSession(net, finetune_lr=lr)
-    with pytest.raises(ValueError):
-        CountSession(net, finetune_steps=0)
     with pytest.raises(TypeError):
         CountSession(net, event_log=[])  # every session starts with an empty log
 
@@ -328,10 +323,9 @@ def test_front_layers_run_once_per_online_block():
     assert amend_and_finetune(session, head, DoorEvent("enter", 0)) == 2
     assert session.event_log[-1].action == "finetune"
     last = net.last_dense  # the head runs once, and once per step
-    assert calls == [0] * last + [1 + session.finetune_steps] * (len(net.layers) - last)
+    assert calls == [0] * last + [1 + neural.FINETUNE_STEPS] * (len(net.layers) - last)
     assert ref.forward(window.values[None]).argmax() == 4  # predicts 5
-    lr, steps = session.finetune_lr, session.finetune_steps
-    finetune_last_dense(ref, ref.forward(window.values[None], stop=ref.last_dense), 2, lr, steps)
+    finetune_last_dense(ref, ref.forward(window.values[None], stop=ref.last_dense), 2)
     for (name, a, _), (_, b, _) in zip(net.params(), ref.params()):
         assert a.tobytes() == b.tobytes(), name
 
@@ -451,6 +445,57 @@ def test_run_online_static_room():
 
     _, again = go()
     assert again == timeline
+
+
+SCRIPT_LABELS = (
+    ActivityLabel.EMPTY,
+    ActivityLabel.WALKING,
+    ActivityLabel.ENTERING_ROOM,
+    ActivityLabel.LEAVING_ROOM,
+)
+
+
+def test_session_invariants_under_random_activity_scripts(monkeypatch):
+    # whatever the activity branch says, the count stays in 0..5, follows
+    # the prediction without an event, moves by exactly one (clamped) per
+    # door event, and only the last dense layer changes
+    cap = random_capture(np.random.default_rng(40), 30 * WINDOW_LEN)
+    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)))  # never scored
+    events = {"enter": 0, "leave": 0}
+    tuned = 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        # runs of one label, 1-5 windows long: door runs of 3 or more fire
+        script = iter(
+            label
+            for _ in range(40)
+            for label in [SCRIPT_LABELS[rng.integers(4)]] * int(rng.integers(1, 6))
+        )
+        monkeypatch.setattr(
+            counting, "classify_activity", lambda models, stack: [next(script) for _ in stack]
+        )
+        net = build_fcbp(seed=seed)
+        snapshot = param_snapshot(net)
+        start = int(rng.integers(0, 6))
+        session = CountSession(net, hmm_models={ActivityLabel.WALKING: model}, current_count=start)
+        timeline = run_online(session, cap)
+        assert len(timeline) == 30
+        before = start
+        for step in timeline:
+            assert 0 <= step.count <= 5
+            if step.event is None:
+                assert step.count == step.prediction
+            elif step.event.kind == "enter":
+                assert step.count == min(before + 1, 5)
+            else:
+                assert step.count == max(before - 1, 0)
+            if step.event is not None:
+                events[step.event.kind] += 1
+            before = step.count
+        tuned += sum(r.action == "finetune" for r in session.event_log)
+        final = {f"layer{net.last_dense}.W", f"layer{net.last_dense}.b"}
+        assert changed_params(net, snapshot) <= final
+    assert events["enter"] > 0 and events["leave"] > 0 and tuned > 0
 
 
 # Two scripted movement regimes that the activity models must separate: slow
@@ -606,10 +651,14 @@ def walk_door_capture():
     )
 
 
-def test_run_online_matches_one_window_at_a_time(activity_models, walk_door_capture):
+def test_run_online_matches_one_window_at_a_time(
+    activity_models, walk_door_capture, monkeypatch
+):
     # the block-batched front pass changes only rounding: every decision of
     # a session that counts each window alone is kept, including the ones a
-    # fine-tune earlier in the same block changes
+    # fine-tune earlier in the same block changes (a step size strong enough
+    # to turn the next prediction)
+    monkeypatch.setattr(neural, "FINETUNE_LR", 1.0)
     _, models = activity_models
     full = walk_door_capture
     for n_windows in (1, ONLINE_BLOCK - 1, ONLINE_BLOCK, ONLINE_BLOCK + 1, 2 * ONLINE_BLOCK + 1):
@@ -623,7 +672,7 @@ def test_run_online_matches_one_window_at_a_time(activity_models, walk_door_capt
             net.layers[net.last_dense].b[:] = [0.0, 2.0, 0.0, 0.0, 0.0]  # predicts 2
             snapshot = param_snapshot(net)
             probs = record_probabilities(net)
-            session = CountSession(net, hmm_models=models, current_count=2, finetune_lr=1.0)
+            session = CountSession(net, hmm_models=models, current_count=2)
             timeline = go(session, cap)
             runs.append((net, snapshot, probs, session, timeline))
         (net, snapshot, probs, session, timeline), (ref, ref_snapshot, *ref_run) = runs
@@ -668,9 +717,10 @@ def session_steps(models, capture, monkeypatch):
         return classify_activity(models, stack)
 
     monkeypatch.setattr(counting, "classify_activity", recording)
+    monkeypatch.setattr(neural, "FINETUNE_LR", 1.0)
     net = build_cnn_lstm(seed=12)
     net.layers[net.last_dense].b[:] = [0.0, 2.0, 0.0, 0.0, 0.0]  # predicts 2
-    session = CountSession(net, hmm_models=models, current_count=2, finetune_lr=1.0)
+    session = CountSession(net, hmm_models=models, current_count=2)
     timeline = run_online(session, capture)
     steps = [
         (step.prediction, step.count, step.activity, step.event, rec.action)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from csicount import hmm
 from csicount.hmm import (
     VARIANCE_FLOOR,
     ActivityLabel,
@@ -52,9 +53,9 @@ def draw_from_hmm(model, length, seed=0):
     return obs, states
 
 
-def door_events(labels, debounce=3):
+def door_events(labels):
     """Every event a DoorEventDetector fires over a label sequence."""
-    detector = DoorEventDetector(debounce)
+    detector = DoorEventDetector()
     return [e for e in map(detector.push, labels) if e is not None]
 
 
@@ -188,12 +189,13 @@ def test_two_regime_change_point():
 # ----------------------------------------------------------------- EM
 
 
-def test_fit_log_likelihood_monotone():
+def test_fit_log_likelihood_monotone(monkeypatch):
+    monkeypatch.setattr(hmm, "FIT_TOL", 0.0)  # no early stop
     rng = np.random.default_rng(7)
     x = np.concatenate(
         [rng.normal(0, 1, (30, 2)), rng.normal(3, 1, (30, 2))]
     )
-    model = fit_hmm([x], n_states=3, max_iter=25, tol=0.0, seed=1)
+    model = fit_hmm([x], n_states=3, max_iter=25, seed=1)
     lls = model.fit_log_likelihoods
     assert len(lls) > 2
     assert all(b >= a - 1e-8 for a, b in zip(lls, lls[1:]))
@@ -236,11 +238,12 @@ def test_transition_update_matches_per_step_loop(n_states, t_len):
     np.testing.assert_allclose(step.transition, ref, rtol=1e-12, atol=0)
 
 
-def test_fit_models_validate_and_likelihood_never_drops():
+def test_fit_models_validate_and_likelihood_never_drops(monkeypatch):
+    monkeypatch.setattr(hmm, "FIT_TOL", 0.0)  # no early stop
     rng = np.random.default_rng(12)
     truth = random_model(rng, 3, 2)
     seqs = [draw_from_hmm(truth, 120, seed=s)[0] for s in range(3)]
-    model = fit_hmm(seqs, n_states=3, max_iter=30, tol=0.0, seed=2)
+    model = fit_hmm(seqs, n_states=3, max_iter=30, seed=2)
     model.validate()
     lls = model.fit_log_likelihoods
     assert len(lls) == 30
@@ -359,7 +362,7 @@ def test_classify_requires_models():
 
 
 def test_debounce_three_in_a_row_fires_once():
-    events = door_events([W, W, O, O, O, W], debounce=3)
+    events = door_events([W, W, O, O, O, W])
     assert events == [DoorEvent("enter", 4)]
 
 
@@ -368,34 +371,31 @@ def test_no_door_labels_no_events():
 
 
 def test_run_shorter_than_debounce_no_event():
-    assert door_events([O, O], debounce=3) == []
+    assert door_events([O, O]) == []
 
 
 def test_requires_rearm_after_firing():
     # a second event needs a non-door label in between
-    events = door_events([O, O, O, O, O, O], debounce=3)
+    events = door_events([O, O, O, O, O, O])
     assert events == [DoorEvent("enter", 2)]
-    events = door_events([O, O, O, W, O, O, O], debounce=3)
+    events = door_events([O, O, O, W, O, O, O])
     assert events == [DoorEvent("enter", 2), DoorEvent("enter", 6)]
 
 
 def test_door_label_switch_restarts_run():
-    events = door_events([O, O, L, L, L], debounce=3)
+    events = door_events([O, O, L, L, L])
     assert events == [DoorEvent("leave", 4)]
 
 
 def test_detector_incremental_indices():
-    det = DoorEventDetector(debounce=2)
+    det = DoorEventDetector()
+    assert det.debounce == 3
     assert det.push(W) is None
     assert det.push(O) is None
+    assert det.push(O) is None
     event = det.push(O)
-    assert event == DoorEvent("enter", 2)
+    assert event == DoorEvent("enter", 3)
     assert det.push(O) is None  # not re-armed yet
-
-
-def test_detector_validates_debounce():
-    with pytest.raises(ValueError):
-        DoorEventDetector(debounce=0)
 
 
 # ------------------------------------------------------------- storage

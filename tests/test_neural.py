@@ -500,7 +500,7 @@ def test_finetune_touches_only_last_dense():
     x = rng.standard_normal((1, 360))
     snapshot = [(name, value.copy()) for name, value, _ in net.params()]
     before = data_loss(net, x, [4])
-    finetune_last_dense(net, net.forward(x, stop=net.last_dense), 4, lr=0.05, steps=5)
+    finetune_last_dense(net, net.forward(x, stop=net.last_dense), 4)
     after = data_loss(net, x, [4])
     assert after < before
     changed = {name for (name, old), (name2, new) in zip(
@@ -510,7 +510,7 @@ def test_finetune_touches_only_last_dense():
     assert changed == {f"{final}.W", f"{final}.b"}
 
 
-def finetune_reference(net, x, label, lr, steps):
+def finetune_reference(net, x, label, lr=neural.FINETUNE_LR, steps=neural.FINETUNE_STEPS):
     """Last-dense fine-tune by a front pass and a hand-rolled softmax (oracle)."""
     last = max(i for i, layer in enumerate(net.layers) if isinstance(layer, Dense))
     layer = net.layers[last]
@@ -537,13 +537,13 @@ def test_finetune_from_head_input_matches_front_pass_bitwise():
         (build_fcbp, np.random.default_rng(33).standard_normal((1, 360))),
     ):
         full, split = build(seed=34), build(seed=34)
-        finetune_reference(full, x, 3, lr=0.05, steps=5)
+        finetune_reference(full, x, 3)
         last = split.last_dense
         head = split.forward(x, stop=last)
         ran = []
         for layer in split.layers[:last]:
             layer.forward = lambda *a, _f=layer.forward: ran.append(1) or _f(*a)
-        finetune_last_dense(split, head, 3, lr=0.05, steps=5)
+        finetune_last_dense(split, head, 3)
         assert ran == []
         for (name, a, _), (_, b, _) in zip(full.params(), split.params()):
             assert a.tobytes() == b.tobytes(), name
@@ -613,14 +613,15 @@ def test_first_layer_skips_its_input_gradient():
     assert lstm.backward(np.ones_like(out), need_dx=False) is None
 
 
-def test_finetune_step_with_non_finite_output_raises():
+def test_finetune_step_with_non_finite_output_raises(monkeypatch):
     # the first step's update overflows the logits; the second step's
     # forward pass, not a later inference, reports it
+    monkeypatch.setattr(neural, "FINETUNE_LR", 1e308)
     net = build_fcbp(seed=31)
     x = np.random.default_rng(31).standard_normal((1, 360))
     head = net.forward(x, stop=net.last_dense)
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-        finetune_last_dense(net, head, 1, lr=1e308, steps=2)
+        finetune_last_dense(net, head, 1)
 
 
 def test_finetune_validates_label():
@@ -716,6 +717,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_network(bad)
     bad.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ValueError):
+        load_network(bad)
+    net.layers[net.last_dense].W[0, 0] = np.nan  # would fail at the first forward pass
+    save_network(net, bad)
+    with pytest.raises(ValueError, match="non-finite"):
         load_network(bad)
 
 

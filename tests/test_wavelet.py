@@ -6,6 +6,7 @@ import pytest
 from csicount.wavelet import (
     D4_HIGHPASS,
     D4_LOWPASS,
+    FEATURE_WINDOW,
     WaveletDecomposition,
     dwt_decompose,
     dwt_reconstruct,
@@ -159,7 +160,7 @@ def test_coefficient_window_mapping_and_forward_fill():
     details = [np.zeros(512 // 2**lv) for lv in range(1, 9)]
     details[7] = np.array([3.0, 5.0])
     decomp = WaveletDecomposition(tuple(details), np.zeros(2), 512)
-    fm = extract_features(decomp, window=128)
+    fm = extract_features(decomp)
     assert fm.shape == (16, 4)
     assert np.allclose(fm[7], [9.0, 9.0, 25.0, 25.0])
     assert np.allclose(fm[8 + 7], [0.0, 0.0, 0.0, 0.0])  # single-coeff var
@@ -169,7 +170,7 @@ def test_window_energy_is_mean_of_squares():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(256)
     decomp = dwt_decompose(x, levels=1)
-    fm = extract_features(decomp, window=128)
+    fm = extract_features(decomp)
     d = decomp.details[0]
     first = d[: 64]  # coefficients n with 2n // 128 == 0
     assert np.isclose(fm[0, 0], np.square(first).mean())
@@ -177,16 +178,14 @@ def test_window_energy_is_mean_of_squares():
 
 
 def test_incomplete_windows_dropped():
-    fm = extract_features(dwt_decompose(np.zeros(300), levels=1), window=128)
+    fm = extract_features(dwt_decompose(np.zeros(300), levels=1))
     assert fm.shape == (2, 2)
 
 
 def test_feature_window_validation():
     decomp = dwt_decompose(np.zeros(64), levels=1)
     with pytest.raises(ValueError):
-        extract_features(decomp, window=0)
-    with pytest.raises(ValueError):
-        extract_features(decomp, window=128)  # shorter than one window
+        extract_features(decomp)  # shorter than one window
 
 
 def loop_features(decomp, window):
@@ -209,29 +208,30 @@ def loop_features(decomp, window):
 
 
 @pytest.mark.parametrize("n", [1024, 1500, 2560, 3001, 16384])
-@pytest.mark.parametrize("window", [64, 128, 200])
+@pytest.mark.parametrize("window", [FEATURE_WINDOW])
 def test_features_match_per_window_loop(n, window):
     rng = np.random.default_rng(n + window)
     cols = rng.standard_normal((n, 10)) * rng.uniform(0.1, 10.0, 10)
     singles = [loop_features(dwt_decompose(cols[:, c], levels=10), window) for c in range(10)]
     for k in (1, 3, 10):
         ref = np.mean(singles[:k], axis=0)
-        got = feature_matrix_from_components(cols[:, :k], levels=10, window=window)
+        got = feature_matrix_from_components(cols[:, :k], levels=10)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    one = extract_features(dwt_decompose(cols[:, 0], levels=10), window)
+    one = extract_features(dwt_decompose(cols[:, 0], levels=10))
     np.testing.assert_allclose(one, singles[0], rtol=1e-12, atol=0)
 
 
 def test_forward_fill_matches_loop_on_sparse_levels():
-    # window 200 over levels whose coefficients sit 256 or more samples
-    # apart leaves whole windows empty: they repeat the last defined value
+    # levels whose coefficients sit 256 or more samples apart leave whole
+    # 128-sample windows empty: they repeat the last defined value
     rng = np.random.default_rng(11)
     decomp = dwt_decompose(rng.standard_normal(3001), levels=10)
-    ref = loop_features(decomp, 200)
-    got = extract_features(decomp, window=200)
+    ref = loop_features(decomp, FEATURE_WINDOW)
+    got = extract_features(decomp)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
-    # level 10 has coefficients at samples 0, 1024 and 2048: windows 0, 5, 10
-    assert [len(set(got[9, a:b])) for a, b in ((0, 5), (5, 10), (10, 15))] == [1, 1, 1]
+    # level 10 has coefficients at samples 0, 1024 and 2048: windows 0, 8, 16 of 23
+    assert got.shape == (20, 23)
+    assert [len(set(got[9, a:b])) for a, b in ((0, 8), (8, 16), (16, 23))] == [1, 1, 1]
     assert len(set(got[9])) == 3
 
 
@@ -246,11 +246,3 @@ def test_component_average():
         extract_features(dwt_decompose(cols[:, c], levels=10)) for c in range(3)
     ]
     assert np.allclose(fm, np.mean(singles, axis=0), atol=1e-12)
-
-
-def test_component_average_accepts_1d():
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(2560)
-    fm = feature_matrix_from_components(x, levels=10)
-    single = extract_features(dwt_decompose(x, levels=10))
-    assert np.array_equal(fm, single)
