@@ -205,8 +205,9 @@ def _cmd_classify(args) -> int:
     capture = read_capture(args.capture)
     features = activity_features_from_capture(capture)
     best = classify_activity(models, features)
-    for key, model in models.items():
-        log.debug("%s log_likelihood=%f", key.name, log_likelihood(model, features))
+    if log.isEnabledFor(logging.DEBUG):  # each score is one more forward pass
+        for key, model in models.items():
+            log.debug("%s log_likelihood=%f", key.name, log_likelihood(model, features))
     print(f"label={best.value}")
     print(f"activity={best.name}")
     return 0

@@ -75,7 +75,7 @@ class Layer:
 
     kind: str  # checkpoint name
     fields: tuple = ()  # constructor arguments, in constructor order
-    trace_point = True  # whether shape_trace records this layer's output
+    trace_point = True  # the checkpoint's per-layer "trace" flag
     _cache = None  # what backward needs from the last forward, if anything
 
     def shapes(self) -> dict:
@@ -146,33 +146,29 @@ class Lstm(Layer):
             raise self._bad_shape(x, f"(batch, time, {self.in_dim})")
         b, t_len, _ = x.shape
         n = self.cells
-        xw = (x.reshape(b * t_len, self.in_dim) @ self.W).reshape(b, t_len, 4 * n)
-        gates_i = np.empty((b, t_len, n))
-        gates_f = np.empty((b, t_len, n))
-        gates_o = np.empty((b, t_len, n))
-        gates_g = np.empty((b, t_len, n))
+        # the hoisted x W product; each step completes its pre-activations
+        # in place and overwrites them with the gates [i, f, o, g]
+        gates = (x.reshape(b * t_len, self.in_dim) @ self.W).reshape(b, t_len, 4 * n)
         cells = np.empty((b, t_len, n))
         hidden = np.empty((b, t_len, n))
         h = np.zeros((b, n))
         c = np.zeros((b, n))
         for t in range(t_len):
-            z = xw[:, t] + h @ self.U + self.b
-            sig = _sigmoid(z[:, : 3 * n])
-            g = np.tanh(z[:, 3 * n :])
-            i, f, o = sig[:, :n], sig[:, n : 2 * n], sig[:, 2 * n :]
+            z = gates[:, t]
+            z += h @ self.U
+            z += self.b
+            z[:, : 3 * n] = _sigmoid(z[:, : 3 * n])
+            np.tanh(z[:, 3 * n :], out=z[:, 3 * n :])
+            i, f, o, g = z[:, :n], z[:, n : 2 * n], z[:, 2 * n : 3 * n], z[:, 3 * n :]
             c = f * c + i * g
             h = o * np.tanh(c)
-            gates_i[:, t] = i
-            gates_f[:, t] = f
-            gates_o[:, t] = o
-            gates_g[:, t] = g
             cells[:, t] = c
             hidden[:, t] = h
-        self._cache = (x, gates_i, gates_f, gates_o, gates_g, cells, hidden)
+        self._cache = (x, gates, cells, hidden)
         return hidden
 
     def backward(self, dout, need_dx=True):
-        x, gi, gf, go, gg, cells, hidden = self._cache
+        x, gates, cells, hidden = self._cache
         b, t_len, n = dout.shape
         tanh_c = np.tanh(cells)
         dz_all = np.empty((b, t_len, 4 * n))
@@ -180,7 +176,9 @@ class Lstm(Layer):
         dc_rec = np.zeros((b, n))
         u_t = self.U.T
         for t in range(t_len - 1, -1, -1):
-            i, f, o, g, th = gi[:, t], gf[:, t], go[:, t], gg[:, t], tanh_c[:, t]
+            z = gates[:, t]
+            i, f, o, g = z[:, :n], z[:, n : 2 * n], z[:, 2 * n : 3 * n], z[:, 3 * n :]
+            th = tanh_c[:, t]
             dh = dout[:, t] + dh_rec
             do = dh * th
             dc = dc_rec + dh * o * (1.0 - th * th)
@@ -521,7 +519,7 @@ def _layer_from_descriptor(entry) -> Layer:
 class Network:
     """An ordered stack of layers trained with softmax cross-entropy.
 
-    input_kind is "sequence" (samples are window_len x n_features matrices)
+    input_kind is "sequence" (samples are frames x n_features matrices)
     or "summary" (samples are flat feature vectors); it tells training and
     inference code which part of a sample to feed.
     """
@@ -575,10 +573,6 @@ class Network:
             raise ValueError("network has no dense layer to fine-tune")
         return dense[-1]
 
-    @property
-    def n_parameters(self) -> int:
-        return sum(v.size for _, v, _ in self.params())
-
     def zero_grads(self) -> None:
         for _, _, grad in self.params():
             grad[...] = 0.0
@@ -613,16 +607,6 @@ class Network:
         if off != vector.size:
             raise ValueError("parameter vector length mismatch")
 
-    def shape_trace(self, input_shape) -> list:
-        """Output shapes (batch axis dropped) at each traced layer."""
-        out = np.zeros((1, *input_shape))
-        shapes = []
-        for layer in self.layers:
-            out = layer.forward(out, training=False)
-            if layer.trace_point:
-                shapes.append(out.shape[1:])
-        return shapes
-
     def descriptor(self) -> dict:
         return {
             "input_kind": self.input_kind,
@@ -637,7 +621,7 @@ class Network:
 def build_cnn_lstm(seed: int = 0) -> Network:
     """The full counting network on 200 x 360 windows (see module docstring)."""
     conv1 = Conv2d(1, 6, 5, 5, stride=1, activation="relu")
-    conv1.trace_point = False  # the block's shape is read after its pool
+    conv1.trace_point = False  # the conv-pool block is traced at its pool
     layers = [
         Lstm(360, 64),
         Dropout(0.1),

@@ -132,7 +132,7 @@ def sanitize_phase(phase_matrix: np.ndarray, n_streams: int = 6, n_sub: int = 30
 
 @dataclass(frozen=True)
 class CsiWindow:
-    """One network-ready sample: a standardized (window_len, 360) matrix.
+    """One network-ready sample: a standardized (frames, 360) matrix.
 
     values       per-column standardized [amplitude | sanitized phase]
     column_mean  the 360 column means removed by standardization
@@ -143,16 +143,12 @@ class CsiWindow:
     column_mean: np.ndarray
     column_std: np.ndarray
 
-    @property
-    def window_len(self) -> int:
-        return self.values.shape[0]
-
 
 def build_count_sample(amp_window: np.ndarray, phase_window: np.ndarray) -> CsiWindow:
     """Stack smoothed amplitudes and sanitized phases, standardize per column.
 
-    Both inputs must be (window_len, k) with the same shape; the output is
-    (window_len, 2k) with column means removed and unit variance, except
+    Both inputs must be (frames, k) with the same shape; the output is
+    (frames, 2k) with column means removed and unit variance, except
     that constant columns become all zeros.
     """
     a = np.asarray(amp_window, dtype=np.float64)

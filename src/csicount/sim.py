@@ -85,10 +85,6 @@ class Scene:
     def n_persons(self) -> int:
         return len(self.persons)
 
-    @property
-    def wavelength(self) -> float:
-        return C_LIGHT / self.carrier_hz
-
     def all_paths(self) -> list[Path]:
         paths = list(self.static_paths)
         for person in self.persons:

@@ -3,8 +3,11 @@
 The cascade splits a signal (or every column of a matrix at once) into
 detail coefficients at levels 1..L (level 1 = highest frequency band) plus a
 final approximation, using the 4-tap orthonormal Daubechies filter with
-periodic boundary handling, so energy is conserved exactly and the transform
-inverts perfectly whenever every level splits an even-length signal.
+periodic boundary handling.  Whenever every level splits an even-length
+signal the cascade is an orthonormal linear map: energy is conserved
+exactly and no information is lost.  Only the analysis direction exists,
+since the activity features read band energies and never synthesise a
+signal.
 
 Feature extraction summarizes each level over fixed windows of the original
 time axis: detail coefficient n at level l sits at sample n * 2^l, and each
@@ -43,10 +46,6 @@ class WaveletDecomposition:
     approx: np.ndarray
     signal_len: int
 
-    @property
-    def levels(self) -> int:
-        return len(self.details)
-
 
 def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One periodic analysis step along axis 0: x -> (approx, detail), halving it."""
@@ -54,17 +53,6 @@ def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     taps = [x[(np.arange(0, n, 2) + k) % n] for k in range(4)]
     approx = sum(h * tap for h, tap in zip(D4_LOWPASS, taps))
     return approx, sum(g * tap for g, tap in zip(D4_HIGHPASS, taps))
-
-
-def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    """Inverse of _analyze for even-length signals."""
-    half = approx.shape[0]
-    n = 2 * half
-    idx = (2 * np.arange(half)[:, None] + np.arange(4)[None, :]) % n
-    out = np.zeros(n)
-    np.add.at(out, idx, approx[:, None] * D4_LOWPASS[None, :])
-    np.add.at(out, idx, detail[:, None] * D4_HIGHPASS[None, :])
-    return out
 
 
 def _cascade(x: np.ndarray, levels: int) -> WaveletDecomposition:
@@ -96,21 +84,6 @@ def dwt_decompose(signal, levels: int = 10) -> WaveletDecomposition:
     if x.ndim != 1:
         raise ValueError("expected a 1-D signal")
     return _cascade(x, levels)
-
-
-def dwt_reconstruct(decomp: WaveletDecomposition) -> np.ndarray:
-    """Invert a decomposition whose every level split an even length."""
-    x = np.asarray(decomp.approx, dtype=np.float64)
-    for d in reversed(decomp.details):
-        if d.shape[0] != x.shape[0]:
-            raise ValueError(
-                "inconsistent level lengths (decomposition of a length not "
-                "divisible by 2^levels cannot be inverted)"
-            )
-        x = _synthesize(x, d)
-    if x.shape[0] != decomp.signal_len:
-        raise ValueError("reconstruction length disagrees with the original signal")
-    return x
 
 
 def extract_features(decomp: WaveletDecomposition) -> np.ndarray:

@@ -55,6 +55,7 @@ from csicount.neural import (
 )
 from csicount.preprocess import sanitize_phase
 from csicount.sim import (
+    C_LIGHT,
     Path,
     PhaseDistortion,
     Scene,
@@ -63,7 +64,7 @@ from csicount.sim import (
     simulate_capture,
 )
 from csicount.tensorfile import write_tensor
-from csicount.wavelet import dwt_decompose, dwt_reconstruct
+from csicount.wavelet import dwt_decompose
 
 
 # ------------------------------------------------------------- binary store
@@ -190,7 +191,7 @@ def test_motion_beats_at_twice_velocity_over_wavelength(velocity):
     amp = np.abs(cap.values[:, 0, 0].astype(np.complex128))
     spectrum = np.abs(np.fft.rfft(amp - amp.mean()))
     peak_hz = np.argmax(spectrum) * 1500.0 / n
-    expected = 2.0 * velocity / scene.wavelength
+    expected = 2.0 * velocity * scene.carrier_hz / C_LIGHT
     assert abs(peak_hz - expected) <= 1500.0 / n
 
 
@@ -198,17 +199,22 @@ def test_motion_beats_at_twice_velocity_over_wavelength(velocity):
 
 
 def test_wavelet_cascade_identities_hold_at_scale():
-    # 100 random signals: perfect reconstruction and energy preservation
-    # to 1e-9, and a constant input leaks nothing into any detail band
+    # the cascade of the 1024 unit vectors is an orthogonal matrix, so 100
+    # random signals come back from their coefficients through its
+    # transpose, with energy preserved, to 1e-9; a constant input leaks
+    # nothing into any detail band
+    def coefficients(x):
+        decomp = dwt_decompose(x, levels=10)
+        return np.concatenate([*decomp.details, decomp.approx])
+
+    m = np.array([coefficients(e) for e in np.eye(1024)]).T
+    assert np.max(np.abs(m @ m.T - np.eye(1024))) < 1e-12
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.standard_normal(1024) * rng.uniform(0.1, 10.0)
-        decomp = dwt_decompose(x, levels=10)
-        assert np.max(np.abs(dwt_reconstruct(decomp) - x)) < 1e-9
-        energy = sum(float(d @ d) for d in decomp.details) + float(
-            decomp.approx @ decomp.approx
-        )
-        assert abs(energy - float(x @ x)) / float(x @ x) < 1e-9
+        c = coefficients(x)
+        assert np.max(np.abs(m.T @ c - x)) < 1e-9
+        assert abs(float(c @ c) - float(x @ x)) / float(x @ x) < 1e-9
     flat = dwt_decompose(np.full(1024, 2.5), levels=10)
     for detail in flat.details:
         assert np.max(np.abs(detail)) <= 1e-12
@@ -296,31 +302,48 @@ def test_gradients_match_finite_differences():
 
 
 def test_network_architectures_are_pinned():
+    # every layer's output shape (batch axis dropped) and the parameter count
+    def layer_shapes(net, input_shape):
+        out = np.zeros((1, *input_shape))
+        shapes = []
+        for layer in net.layers:
+            out = layer.forward(out, training=False)
+            shapes.append(out.shape[1:])
+        return shapes
+
     full = build_cnn_lstm()
     toy = build_cnn_lstm_toy()
     flat = build_fcbp()
-    assert full.n_parameters == 3_512_071
-    assert toy.n_parameters == 3_135
-    assert flat.n_parameters == 138_905
-    assert full.shape_trace((200, 360)) == [
-        (200, 64),
-        (98, 30, 6),
-        (32, 10, 10),
-        (3200,),
+    assert full.get_param_vector().size == 3_512_071
+    assert toy.get_param_vector().size == 3_135
+    assert flat.get_param_vector().size == 138_905
+    assert layer_shapes(full, (200, 360)) == [
+        (200, 64),  # lstm
+        (200, 64),  # dropout
+        (200, 64, 1),  # as image
+        (196, 60, 6),  # conv 5x5
+        (98, 30, 6),  # pool
+        (32, 10, 10),  # conv 5x3 / 3
+        (3200,),  # flatten
         (1000,),
         (200,),
         (5,),
+        (5,),  # softmax
     ]
-    assert toy.shape_trace((12, 20)) == [
+    assert layer_shapes(toy, (12, 20)) == [
         (12, 16),
+        (12, 16),
+        (12, 16, 1),
+        (10, 14, 3),
         (5, 7, 3),
         (2, 3, 4),
         (24,),
         (16,),
         (10,),
         (5,),
+        (5,),
     ]
-    assert flat.shape_trace((360,)) == [(360,), (300,), (100,), (5,)]
+    assert layer_shapes(flat, (360,)) == [(360,), (300,), (100,), (5,), (5,)]
 
 
 # ---------------------------------------------------------- counting, e2e

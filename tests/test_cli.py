@@ -1,6 +1,7 @@
 """End-to-end command-line runs: every subcommand, exit codes, determinism."""
 
 import json
+import logging
 import os
 import struct
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import csicount
+from csicount import hmm
 from csicount.cli import main
 from csicount.neural import build_fcbp, save_network
 from csicount.tensorfile import read_tensor, write_tensor
@@ -243,6 +245,40 @@ def test_train_hmm_and_classify(capsys, tmp_path):
     assert code == 0
     assert kv["label"] == "W"
     assert kv["activity"] == "WALKING"
+
+
+def test_classify_scores_each_model_once_unless_debugging(capsys, caplog, monkeypatch, tmp_path):
+    models_dir = tmp_path / "models"
+    models_dir.mkdir()
+    walk = None
+    for label, persons in (("W", 1), ("E", 0)):
+        path = simulate(capsys, tmp_path, f"{label}.csic", persons, duration=1.4, seed=7)[0]
+        manifest = tmp_path / f"{label}.json"
+        manifest.write_text(json.dumps({"label": label, "captures": [path.name]}))
+        code, _, _ = run_cli(
+            capsys, "train-hmm", "--data", str(manifest), "--states", "2",
+            "--out", str(models_dir / f"{label}.hmm"),
+        )
+        assert code == 0
+        walk = walk or path
+    passes = []
+    original = hmm._scaled_forward
+    monkeypatch.setattr(hmm, "_scaled_forward", lambda *a: passes.append(1) or original(*a))
+    argv = ("classify", "--models", str(models_dir), "--capture", str(walk))
+
+    caplog.set_level(logging.ERROR, logger="csicount")  # the CLI's default
+    code, _, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "label=W\nactivity=WALKING\n"
+    assert len(passes) == 2
+
+    passes.clear()
+    caplog.set_level(logging.DEBUG, logger="csicount")
+    code, _, debug_out = run_cli(capsys, *argv)
+    assert code == 0
+    assert debug_out == out
+    assert len(passes) == 4
+    assert sum("log_likelihood=" in r.getMessage() for r in caplog.records) == 2
 
 
 def test_classify_rejects_unknown_model_label(capsys, tmp_path):

@@ -350,7 +350,6 @@ def test_build_count_sample_shapes():
     assert win.values.shape == (200, 360)
     assert win.column_mean.shape == (360,)
     assert win.column_std.shape == (360,)
-    assert win.window_len == 200
 
 
 def test_build_count_sample_standardizes():

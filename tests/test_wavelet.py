@@ -9,7 +9,6 @@ from csicount.wavelet import (
     FEATURE_WINDOW,
     WaveletDecomposition,
     dwt_decompose,
-    dwt_reconstruct,
     extract_features,
     feature_matrix_from_components,
 )
@@ -19,6 +18,17 @@ RATE = 1500.0
 
 def tone(freq_hz, n=2560, rate=RATE):
     return np.sin(2 * np.pi * freq_hz * np.arange(n) / rate)
+
+
+def coefficients(x, levels):
+    """Every coefficient of the cascade: details level 1 first, then the approximation."""
+    decomp = dwt_decompose(x, levels=levels)
+    return np.concatenate([*decomp.details, decomp.approx])
+
+
+def analysis_matrix(n, levels):
+    """The cascade as a matrix: column j holds the coefficients of unit vector j."""
+    return np.array([coefficients(e, levels) for e in np.eye(n)]).T
 
 
 # ------------------------------------------------------------- filters
@@ -68,11 +78,11 @@ def test_parseval_energy_conservation():
 
 
 def test_perfect_reconstruction():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(1024)
-    decomp = dwt_decompose(x, levels=10)
-    back = dwt_reconstruct(decomp)
-    assert np.max(np.abs(back - x)) < 1e-9
+    # the cascade is an orthogonal matrix, so its transpose inverts it
+    m = analysis_matrix(1024, levels=10)
+    assert np.max(np.abs(m @ m.T - np.eye(1024))) < 1e-12
+    x = np.random.default_rng(2).standard_normal(1024)
+    assert np.max(np.abs(m.T @ coefficients(x, 10) - x)) < 1e-9
 
 
 def test_impulse_round_trip_and_energy():
@@ -82,24 +92,16 @@ def test_impulse_round_trip_and_energy():
     total = sum(float(np.square(d).sum()) for d in decomp.details)
     total += float(np.square(decomp.approx).sum())
     assert abs(total - 1.0) < 1e-9
-    assert np.max(np.abs(dwt_reconstruct(decomp) - x)) < 1e-9
+    assert np.max(np.abs(analysis_matrix(256, 8).T @ coefficients(x, 8) - x)) < 1e-9
 
 
 def test_level_coefficient_counts():
     decomp = dwt_decompose(np.zeros(1024), levels=10)
-    assert decomp.levels == 10
+    assert len(decomp.details) == 10
     assert [d.shape[0] for d in decomp.details] == [
         512, 256, 128, 64, 32, 16, 8, 4, 2, 1,
     ]
     assert decomp.signal_len == 1024
-
-
-def test_odd_split_cannot_be_inverted():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(1000)  # 1000 -> 500 -> 250 -> 125 -> 63
-    decomp = dwt_decompose(x, levels=4)
-    with pytest.raises(ValueError):
-        dwt_reconstruct(decomp)
 
 
 def test_decompose_validation():
@@ -191,7 +193,7 @@ def test_feature_window_validation():
 def loop_features(decomp, window):
     """The per-window loop the features were first computed with (oracle)."""
     n_windows = decomp.signal_len // window
-    levels = decomp.levels
+    levels = len(decomp.details)
     values = np.zeros((2 * levels, n_windows))
     for lv, detail in enumerate(decomp.details, start=1):
         positions = np.arange(detail.shape[0]) * (2**lv) // window
