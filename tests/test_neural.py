@@ -51,6 +51,46 @@ def test_parameter_counts():
             assert layer.n_params == sum(v.size for _, v, _ in layer.params())
 
 
+def traced_shapes(net, input_shape):
+    # output shapes (batch axis dropped) at the layers whose checkpoint
+    # "trace" flag is set
+    out = np.zeros((1, *input_shape))
+    shapes = []
+    for layer in net.layers:
+        out = layer.forward(out, training=False)
+        if layer.trace_point:
+            shapes.append(out.shape[1:])
+    return shapes
+
+
+def test_full_network_shape_trace():
+    assert traced_shapes(build_cnn_lstm(), (200, 360)) == [
+        (200, 64),
+        (98, 30, 6),
+        (32, 10, 10),
+        (3200,),
+        (1000,),
+        (200,),
+        (5,),
+    ]
+
+
+def test_fcbp_shape_trace():
+    assert traced_shapes(build_fcbp(), (360,)) == [(360,), (300,), (100,), (5,)]
+
+
+def test_toy_shape_trace():
+    assert traced_shapes(build_cnn_lstm_toy(), (12, 20)) == [
+        (12, 16),
+        (5, 7, 3),
+        (2, 3, 4),
+        (24,),
+        (16,),
+        (10,),
+        (5,),
+    ]
+
+
 def test_initialization_is_seeded():
     a = build_cnn_lstm_toy(seed=3)
     b = build_cnn_lstm_toy(seed=3)
