@@ -3,6 +3,7 @@
 Modules
 -------
 capture     CSI capture data model and bit-exact binary serialization
+tensorfile  the header framing every file format shares, and the tensor format
 sim         multipath channel simulator and phase-error injection
 preprocess  filtering, PCA denoising, moving averages, phase sanitization
 wavelet     Daubechies-4 wavelet transform and energy/variance features

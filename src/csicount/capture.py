@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensorfile import read_framed, write_framed
+
 CAPTURE_MAGIC = b"CSIC"
 CAPTURE_VERSION = 1
 
@@ -40,23 +42,7 @@ _HEADER = struct.Struct("<4sHHHHfQB")
 
 
 class CaptureError(ValueError):
-    """Base error for malformed captures or capture files."""
-
-
-class BadMagicError(CaptureError):
-    """File does not start with the capture magic."""
-
-
-class UnsupportedVersionError(CaptureError):
-    """File declares a format version this reader does not understand."""
-
-
-class TruncatedFileError(CaptureError):
-    """File ends before the declared number of packets."""
-
-
-class NonFiniteValueError(CaptureError):
-    """Capture payload contains NaN or infinite values."""
+    """A malformed capture or capture file."""
 
 
 @dataclass(frozen=True)
@@ -105,9 +91,9 @@ class CsiCapture:
         if self.timestamps.shape != (self.values.shape[0],):
             raise CaptureError("timestamps length does not match frame count")
         if not np.isfinite(self.values.view(np.float32)).all():
-            raise NonFiniteValueError("capture contains non-finite CSI values")
+            raise CaptureError("capture contains non-finite CSI values")
         if not np.isfinite(self.timestamps).all():
-            raise NonFiniteValueError("capture contains non-finite timestamps")
+            raise CaptureError("capture contains non-finite timestamps")
         if self.n_frames > 1 and not (np.diff(self.timestamps) > 0).all():
             raise CaptureError("timestamps must be strictly increasing")
 
@@ -175,60 +161,36 @@ def write_capture(capture: CsiCapture, path) -> None:
     """
     capture._validate()
     label_bytes = capture.label.encode("utf-8")
-    header = _HEADER.pack(
-        CAPTURE_MAGIC,
-        CAPTURE_VERSION,
-        capture.n_tx,
-        capture.n_rx,
-        capture.n_sub,
-        capture.rate_hz,
-        capture.n_frames,
-        len(label_bytes),
-    )
     rec = np.empty(capture.n_frames, dtype=_packet_dtype(capture.n_streams, capture.n_sub))
     rec["ts"] = capture.timestamps
-    pairs = capture.values.view(np.float32).reshape(
-        capture.n_frames, capture.n_streams, capture.n_sub, 2
+    rec["csi"] = capture.values.view(np.float32).reshape(rec["csi"].shape)
+    fields = (capture.n_tx, capture.n_rx, capture.n_sub, capture.rate_hz, capture.n_frames)
+    write_framed(
+        path, _HEADER, CAPTURE_MAGIC, CAPTURE_VERSION, (*fields, len(label_bytes)), label_bytes, rec
     )
-    rec["csi"] = pairs
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(label_bytes)
-        fh.write(rec.tobytes())
 
 
 def read_capture(path) -> CsiCapture:
-    """Read a capture file, verifying magic, version and payload size;
+    """Read a capture file, verifying its header and payload size;
     CsiCapture then checks the values as it does for any capture."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise TruncatedFileError(
-            f"file holds {len(raw)} bytes, shorter than the {_HEADER.size}-byte header"
-        )
-    magic, version, n_tx, n_rx, n_sub, rate_hz, n_packets, label_len = _HEADER.unpack(
-        raw[: _HEADER.size]
+    raw, (n_tx, n_rx, n_sub, rate_hz, n_packets, label_len) = read_framed(
+        path, _HEADER, CAPTURE_MAGIC, CAPTURE_VERSION, "capture", CaptureError
     )
-    if magic != CAPTURE_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}, expected {CAPTURE_MAGIC!r}")
-    if version != CAPTURE_VERSION:
-        raise UnsupportedVersionError(f"unsupported format version {version}")
     offset = _HEADER.size + label_len
     if len(raw) < offset:
-        raise TruncatedFileError("file ends inside the label field")
+        raise CaptureError("file ends inside the label field")
     label = raw[_HEADER.size : offset].decode("utf-8")
-    payload = raw[offset:]
+    found = len(raw) - offset
     dtype = _packet_dtype(n_tx * n_rx, n_sub)
     expected = n_packets * dtype.itemsize
-    if len(payload) < expected:
-        frame = len(payload) // dtype.itemsize
-        raise TruncatedFileError(
-            f"file truncated in frame {frame}: expected {n_packets} frames "
-            f"({expected} payload bytes), found {len(payload)}"
+    if found < expected:
+        raise CaptureError(
+            f"file truncated in frame {found // dtype.itemsize}: expected {n_packets} frames "
+            f"({expected} payload bytes), found {found}"
         )
-    if len(payload) > expected:
-        raise CaptureError(f"{len(payload) - expected} trailing bytes after last frame")
-    rec = np.frombuffer(payload, dtype=dtype)
+    if found > expected:
+        raise CaptureError(f"{found - expected} trailing bytes after last frame")
+    rec = np.frombuffer(raw, dtype=dtype, count=n_packets, offset=offset)
     timestamps = rec["ts"].astype(np.float64)
     csi = np.ascontiguousarray(rec["csi"])
     values = csi.view(np.complex64).reshape(n_packets, n_tx * n_rx, n_sub)

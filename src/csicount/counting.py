@@ -345,15 +345,16 @@ def _stream_histories(amp: np.ndarray, ends: np.ndarray, rate_hz: float, ring: n
     pad = min(lowpass_pad(rate_hz, ACTIVITY_CUTOFF_HZ), ACTIVITY_HISTORY - 1)
     span = WINDOW_LEN + 2 * pad
     keep = min(WINDOW_LEN + pad, len(ring))
-    segments = amp[np.maximum(ends - span + np.arange(span)[:, None], 0)]  # (span, B, d)
-    out = butterworth_lowpass(segments, rate_hz, ACTIVITY_CUTOFF_HZ)[-keep:]
-    ready = ends >= ACTIVITY_HISTORY  # a suffix of the block
-    histories = np.empty((ready.sum(), ACTIVITY_HISTORY, amp.shape[1]))
-    for b, end in enumerate(ends):
-        ring[np.arange(end - keep, end) % len(ring)] = out[:, b]
-        if ready[b]:
-            histories[b - len(ends)] = ring[np.arange(end - ACTIVITY_HISTORY, end) % len(ring)]
-    return histories
+    histories = np.empty((len(ends), ACTIVITY_HISTORY, amp.shape[1]))
+    n = 0
+    for end in ends:
+        segment = amp[np.maximum(np.arange(end - span, end), 0)]
+        filtered = butterworth_lowpass(segment, rate_hz, ACTIVITY_CUTOFF_HZ)
+        ring[np.arange(end - keep, end) % len(ring)] = filtered[-keep:]
+        if end >= ACTIVITY_HISTORY:
+            histories[n] = ring[np.arange(end - ACTIVITY_HISTORY, end) % len(ring)]
+            n += 1
+    return histories[:n]
 
 
 def activity_features_from_capture(capture: CsiCapture) -> np.ndarray:

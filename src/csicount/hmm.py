@@ -15,11 +15,14 @@ from enum import Enum
 
 import numpy as np
 
+from .tensorfile import read_framed, write_framed
+
 VARIANCE_FLOOR = 1e-6
 FIT_TOL = 1e-4  # Baum-Welch stops when the log-likelihood gains less than this
 
 MODEL_MAGIC = b"CSIH"
 MODEL_VERSION = 1
+_HEAD = struct.Struct("<4sHHHB")  # magic, version, states, features, label length
 
 
 class ActivityLabel(Enum):
@@ -341,41 +344,27 @@ def save_hmm(model: GaussianHmm, path) -> None:
     label_bytes = model.label.encode("utf-8")
     if len(label_bytes) > 255:
         raise ValueError("label exceeds 255 UTF-8 bytes")
-    head = struct.pack(
-        "<4sHHHB", MODEL_MAGIC, MODEL_VERSION, model.n_states, model.n_features,
-        len(label_bytes),
+    arrays = (model.initial, model.transition, model.means, model.variances)
+    write_framed(
+        path, _HEAD, MODEL_MAGIC, MODEL_VERSION,
+        (model.n_states, model.n_features, len(label_bytes)),
+        label_bytes, *(np.ascontiguousarray(arr, dtype="<f8") for arr in arrays),
     )
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(label_bytes)
-        for arr in (model.initial, model.transition, model.means, model.variances):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_hmm(path) -> GaussianHmm:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.Struct("<4sHHHB")
-    if len(raw) < head.size:
-        raise ValueError("model file shorter than its header")
-    magic, version, s, d, label_len = head.unpack(raw[: head.size])
-    if magic != MODEL_MAGIC:
-        raise ValueError(f"bad model magic {magic!r}")
-    if version != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {version}")
-    off = head.size + label_len
-    label = raw[head.size : off].decode("utf-8")
+    raw, (s, d, label_len) = read_framed(path, _HEAD, MODEL_MAGIC, MODEL_VERSION, "model")
+    off = _HEAD.size + label_len
+    label = raw[_HEAD.size : off].decode("utf-8")
     sizes = [s, s * s, s * d, s * d]
     if len(raw) - off != 8 * sum(sizes):
         raise ValueError("model payload size disagrees with header")
-    arrays = []
-    for n in sizes:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy())
-        off += 8 * n
+    params = np.frombuffer(raw, dtype="<f8", count=sum(sizes), offset=off).copy()
+    initial, transition, means, variances = np.split(params, np.cumsum(sizes)[:-1])
     return GaussianHmm(
-        arrays[0],
-        arrays[1].reshape(s, s),
-        arrays[2].reshape(s, d),
-        arrays[3].reshape(s, d),
+        initial,
+        transition.reshape(s, s),
+        means.reshape(s, d),
+        variances.reshape(s, d),
         label=label,
     )

@@ -43,8 +43,11 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .tensorfile import read_framed, write_framed
+
 CHECKPOINT_MAGIC = b"CSNN"
 CHECKPOINT_VERSION = 1
+_HEAD = struct.Struct("<4sHI")  # magic, version, architecture length
 
 PROB_CLAMP = 1e-12
 FINETUNE_LR = 0.01  # the online amendment's fine-tune of the last dense layer
@@ -741,11 +744,8 @@ def finetune_last_dense(net: Network, head, label: int) -> None:
 def save_network(net: Network, path) -> None:
     """Checkpoint: magic, version, JSON architecture, then f64 parameters."""
     arch = json.dumps(net.descriptor()).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sHI", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(arch)))
-        fh.write(arch)
-        for _, value, _ in net.params():
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+    params = (np.ascontiguousarray(value, dtype="<f8") for _, value, _ in net.params())
+    write_framed(path, _HEAD, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, [len(arch)], arch, *params)
 
 
 def load_network(path) -> Network:
@@ -755,21 +755,12 @@ def load_network(path) -> Network:
     checked against the file and for non-finite values, before any layer
     allocates its parameters.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head = struct.Struct("<4sHI")
-    if len(raw) < head.size:
-        raise ValueError("checkpoint shorter than its header")
-    magic, version, arch_len = head.unpack(raw[: head.size])
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = head.size + arch_len
+    raw, (arch_len,) = read_framed(path, _HEAD, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    off = _HEAD.size + arch_len
     if off > len(raw):
         raise ValueError("checkpoint ends inside its architecture descriptor")
     try:
-        arch = json.loads(raw[head.size : off].decode("utf-8"))
+        arch = json.loads(raw[_HEAD.size : off].decode("utf-8"))
     except RecursionError:
         raise ValueError("checkpoint architecture descriptor is nested too deeply") from None
     if not isinstance(arch, dict) or not isinstance(arch.get("layers"), list):

@@ -198,6 +198,16 @@ def test_tensor_dims_past_int64_are_refused_without_a_warning(tmp_path):
             read_tensor(path)
 
 
+def test_rank_zero_tensor_is_refused(capsys, tmp_path):
+    # write_tensor never writes ndim 0: 7 header bytes, no dims, one f64
+    path = tmp_path / "scalar.csit"
+    path.write_bytes(b"CSIT" + struct.pack("<HBd", 1, 0, 1.0))
+    with pytest.raises(ValueError, match="rank 0"):
+        read_tensor(path)
+    argv = ["features", "--in", str(path), "--out", str(tmp_path / "f.csit")]
+    assert_one_line_error(capsys, argv, "rank 0")
+
+
 def test_preprocess_counting_mode(capsys, tmp_path):
     cap, _ = simulate(capsys, tmp_path, "two.csic", persons=2, duration=0.3, seed=5)
     out = tmp_path / "counting.csit"

@@ -5,13 +5,14 @@ offset in the first 600 bytes plus 400 seeded ones) and overwritten with
 600 seeded 1-3-byte patches inside its first 600 bytes.  A reader may
 return a value or raise ValueError (CaptureError is one); any other
 exception is an escape.  A few refused files then go through the CLI,
-which must exit 1 with one `error:` line.
+which must exit 1 with one `error:` line.  Every format also meets each
+fault of the shared header framing, and the message names the check.
 """
 
 import numpy as np
 import pytest
 
-from csicount.capture import CsiCapture, read_capture, write_capture
+from csicount.capture import CaptureError, CsiCapture, read_capture, write_capture
 from csicount.cli import main
 from csicount.hmm import GaussianHmm, load_hmm, save_hmm
 from csicount.neural import build_fcbp, load_network, save_network
@@ -105,3 +106,29 @@ def test_corrupt_files_are_refused_with_value_error(kind, tmp_path, capsys):
         assert main(CLI[kind](bad, tmp_path)) == 1, what
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1, (what, err)
+
+
+FRAMING_FAULTS = {  # fault: (corrupt the intact file, text the refusal must hold)
+    "cut_header": (lambda raw: raw[:5], "5 bytes, shorter than its"),
+    "wrong_magic": (lambda raw: b"XXXX" + raw[4:], "magic b'XXXX'"),
+    "next_version": (lambda raw: raw[:4] + (2).to_bytes(2, "little") + raw[6:], "version 2"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FRAMING_FAULTS))
+@pytest.mark.parametrize("kind", sorted(FORMATS))
+def test_framing_faults_are_refused_by_name(kind, fault, tmp_path, capsys):
+    make, reader = FORMATS[kind]
+    corrupt, needle = FRAMING_FAULTS[fault]
+    good = tmp_path / f"good.{kind}"
+    make(good)
+    assert good.read_bytes()[4:6] == (1).to_bytes(2, "little")  # every format is at version 1
+    bad = tmp_path / "bad" / f"bad.{kind}"
+    bad.parent.mkdir()
+    bad.write_bytes(corrupt(good.read_bytes()))
+    with pytest.raises(CaptureError if kind == "csic" else ValueError, match=needle):
+        reader(bad)
+    assert main(CLI[kind](bad, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err, err
+    assert len(err.strip().splitlines()) == 1, err
