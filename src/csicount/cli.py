@@ -387,7 +387,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (OSError, ValueError, RuntimeError, KeyError, MemoryError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError, KeyError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         log.debug("failure detail", exc_info=True)
         return 1

@@ -547,12 +547,13 @@ class Network:
         output raises FloatingPointError naming the layer.
         """
         out = np.asarray(x, dtype=np.float64)
-        for i, layer in enumerate(self.layers[start:stop], start):
-            out = layer.forward(out, training)
-            if not keep_cache:
-                layer._cache = None
-            if not np.isfinite(out).all():
-                raise FloatingPointError(f"non-finite output at layer {i} ({layer.name})")
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+            for i, layer in enumerate(self.layers[start:stop], start):
+                out = layer.forward(out, training)
+                if not keep_cache:
+                    layer._cache = None
+                if not np.isfinite(out).all():
+                    raise FloatingPointError(f"non-finite output at layer {i} ({layer.name})")
         return out
 
     def backward(self, dout: np.ndarray) -> None:
@@ -695,6 +696,8 @@ def finite_difference_check(
     and cannot be verified at any eps.  The relative error of a parameter
     is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
     """
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     x = np.asarray(x, dtype=np.float64)
     net.loss_and_gradients(x, labels, training=False)
     analytic = [(value, grad.copy()) for _, value, grad in net.params()]
@@ -726,19 +729,23 @@ def finetune_last_dense(net: Network, head, label: int) -> None:
     """Run FINETUNE_STEPS SGD steps of FINETUNE_LR on the final dense layer only.
 
     `head` is that layer's input, net.forward(x, stop=net.last_dense).  Its
-    weights and bias follow the cross-entropy of the layers from it on
-    toward `label` (1-based); every other parameter is left untouched.  A
-    step whose output is non-finite raises FloatingPointError.
+    weights and bias follow, through the backward of the layers from it on,
+    the cross-entropy toward `label` (1-based); all else is left untouched.
+    A non-finite step output raises FloatingPointError.
     """
     last = net.last_dense
     layer = net.layers[last]
     head = np.asarray(head, dtype=np.float64)
     labels = np.full(head.shape[0], int(label))
     for _ in range(FINETUNE_STEPS):
-        probs = net.forward(head, start=last, keep_cache=False)
-        _, g = _cross_entropy(probs, labels)
-        layer.W -= FINETUNE_LR * (head.T @ g)
-        layer.b -= FINETUNE_LR * g.sum(axis=0)
+        layer.dW[...] = 0.0
+        layer.db[...] = 0.0
+        _, g = _cross_entropy(net.forward(head, start=last), labels)
+        for later in reversed(net.layers[last + 1 :]):
+            g = later.backward(g)
+        layer.backward(g, need_dx=False)
+        layer.W -= FINETUNE_LR * layer.dW
+        layer.b -= FINETUNE_LR * layer.db
 
 
 def save_network(net: Network, path) -> None:

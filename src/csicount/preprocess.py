@@ -11,12 +11,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.ndimage import median_filter
-from scipy.signal import fftconvolve
+from numpy.lib.stride_tricks import sliding_window_view
 
 BUTTERWORTH_ORDER = 4
 WMA_TAPS = 100
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n, from O(log(n)**2) candidates."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def lowpass_pad(rate_hz: float, cutoff_hz: float) -> int:
@@ -34,7 +44,7 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float):
     tone at frequency f matches the analytic curve exactly.  DC gain is 1.
     Reflection padding suppresses circular wrap-around at the ends; unless
     it spans the whole signal, the padded sequence repeats its own samples
-    across the wrap point, half from each side, up to next_fast_len.
+    across the wrap point, half from each side, up to _fast_len.
     """
     x = np.asarray(series, dtype=np.float64)
     if not 0 < cutoff_hz < rate_hz / 2:
@@ -49,7 +59,7 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float):
     bottom = x[-pad - 1 : -1][::-1]
     ext = np.concatenate([2 * x[0] - top, x, 2 * x[-1] - bottom])
     m = ext.shape[0]
-    grow = next_fast_len(m, real=True) - m if pad < n - 1 else 0
+    grow = _fast_len(m) - m if pad < n - 1 else 0
     ext = np.concatenate([ext, ext[: grow // 2], ext[m - (grow - grow // 2) :]])
     freqs = np.fft.rfftfreq(ext.shape[0], d=1.0 / rate_hz)
     gain = 1.0 / (1.0 + (freqs / cutoff_hz) ** (2 * BUTTERWORTH_ORDER))
@@ -74,7 +84,9 @@ def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
     h = h - h.mean(axis=-2, keepdims=True)
     # eigh sorts ascending: the kept vectors, strongest first, are columns d-2, d-3, ..
     q = np.linalg.eigh(np.swapaxes(h, -1, -2) @ h)[1][..., np.arange(d - 2, d - 2 - keep, -1)]
-    return median_filter(h @ q, size=(1,) * (h.ndim - 2) + (5, 1), mode="nearest")
+    # a 5-point median down each component, the ends extended by their edge rows
+    edges = np.pad(h @ q, [(0, 0)] * (h.ndim - 2) + [(2, 2), (0, 0)], mode="edge")
+    return np.partition(sliding_window_view(edges, 5, axis=-2), 2, axis=-1)[..., 2]
 
 
 def weighted_moving_average(series):
@@ -90,8 +102,9 @@ def weighted_moving_average(series):
     shape = x.shape
     x = x.reshape(shape[0], -1)
     n = x.shape[0]
-    kernel = np.arange(m, 0, -1, dtype=np.float64)  # weight m on lag 0
-    num = fftconvolve(x, kernel[:, None], mode="full", axes=0)[:n]
+    size = _fast_len(n + m - 1)  # long enough that the convolution does not wrap
+    kernel = np.fft.rfft(np.arange(m, 0, -1, dtype=np.float64), size)  # weight m on lag 0
+    num = np.fft.irfft(np.fft.rfft(x, size, axis=0) * kernel[:, None], size, axis=0)[:n]
     lags = np.minimum(np.arange(n), m - 1)
     denom = m * (lags + 1) - lags * (lags + 1) / 2.0  # sum of m, m-1, .., m-lags
     return (num / denom[:, None]).reshape(shape)

@@ -120,6 +120,38 @@ def test_debug_log_level_emits_stderr_detail(tmp_path):
     assert "DEBUG csicount" in proc.stderr, proc.stderr
 
 
+def test_pipeline_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: each command runs in a child
+    # process in which importing scipy raises ImportError
+    src = str(Path(csicount.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=pythonpath)
+    child = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from csicount.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    (tmp_path / "walk.json").write_text(json.dumps({"label": "W", "captures": ["w.csic"]}))
+    (tmp_path / "models").mkdir()
+    save_network(build_fcbp(seed=0), tmp_path / "net.csnn")
+    for argv in (
+        ["simulate", "--persons", "1", "--duration", "1.4", "--seed", "3", "--out", "w.csic"],
+        ["preprocess", "--mode", "activity", "--in", "w.csic", "--out", "comps.csit"],
+        ["preprocess", "--mode", "counting", "--in", "w.csic", "--out", "counting.csit"],
+        ["features", "--in", "comps.csit", "--out", "feats.csit"],
+        ["train-hmm", "--data", "walk.json", "--states", "2", "--out", "models/walking.hmm"],
+        ["classify", "--models", "models", "--capture", "w.csic"],
+        ["online", "--ckpt", "net.csnn", "--hmm", "models", "--capture", "w.csic"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -388,16 +420,23 @@ def test_online_rejects_hostile_checkpoint(capsys, tmp_path):
     argv = ["online", "--ckpt", str(ckpt), "--capture", str(tmp_path / "unread.csic")]
     assert_one_line_error(capsys, argv, "architecture needs")
 
-    # a parameter that is NaN: eval and online once printed the forward
-    # pass's FloatingPointError traceback
-    net = build_fcbp(seed=0)
-    net.layers[net.last_dense].b[0] = np.nan
-    save_network(net, ckpt)
-    for argv in (
-        ["online", "--ckpt", str(ckpt), "--capture", str(tmp_path / "unread.csic")],
-        ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "unread.json")],
-    ):
-        assert_one_line_error(capsys, argv, "non-finite parameters")
+    # parameters that are NaN, or finite but so large that the forward pass
+    # overflows: eval and online once printed its FloatingPointError traceback
+    cap, _ = simulate(capsys, tmp_path, "one.csic", persons=1, duration=0.2, seed=1)
+    manifest = tmp_path / "one.json"
+    manifest.write_text(json.dumps({"items": [{"path": cap.name, "label": 1}]}))
+    nan_net, huge_net = build_fcbp(seed=0), build_fcbp(seed=0)
+    nan_net.layers[nan_net.last_dense].b[0] = np.nan
+    huge_net.set_param_vector(np.full(huge_net.get_param_vector().size, 1e300))
+    for net, needle in ((nan_net, "non-finite parameters"), (huge_net, "non-finite output")):
+        save_network(net, ckpt)
+        for argv in (
+            ["online", "--ckpt", str(ckpt), "--capture", str(cap)],
+            ["eval", "--ckpt", str(ckpt), "--data", str(manifest)],
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's overflow warning is no error line
+                assert_one_line_error(capsys, argv, needle)
 
 
 def test_eval_rejects_deeply_nested_checkpoint_header(capsys, tmp_path):
@@ -482,6 +521,12 @@ def test_gradcheck_toy_network(capsys):
     assert code == 0
     assert kv["net"] == "cnn-lstm-toy"
     assert float(kv["max_rel_err"]) < 1e-4
+
+
+@pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf"])
+def test_gradcheck_refuses_a_step_that_is_not_positive_and_finite(capsys, eps):
+    # eps 0 once raised ZeroDivisionError, nan and inf FloatingPointError
+    assert_one_line_error(capsys, ["gradcheck", f"--eps={eps}"], "eps must be positive and finite")
 
 
 def test_gradcheck_failure_exit_code(capsys):

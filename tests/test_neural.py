@@ -557,6 +557,20 @@ def test_finetune_from_head_input_matches_front_pass_bitwise():
             assert a.tobytes() == b.tobytes(), name
 
 
+def test_finetune_steps_back_through_a_relu_on_the_last_dense_layer():
+    # a fused ReLU on the final dense layer gives its dead units no step:
+    # each fine-tune step is the SGD step on loss_and_gradients, bit for bit
+    x = np.random.default_rng(40).standard_normal((3, 6))
+    net, ref = (Network([Dense(6, 5, "relu"), Softmax()], "summary", seed=41) for _ in "ab")
+    assert ((x @ net.layers[0].W + net.layers[0].b) <= 0).any()  # some units are dead
+    finetune_last_dense(net, x, 2)
+    for _ in range(neural.FINETUNE_STEPS):
+        ref.loss_and_gradients(x, [2, 2, 2], training=False)
+        ref.sgd_step(neural.FINETUNE_LR)
+    for (name, a, _), (_, b, _) in zip(net.params(), ref.params()):
+        assert a.tobytes() == b.tobytes(), name
+
+
 def test_forward_runs_a_layer_range():
     net = build_cnn_lstm_toy(seed=35)
     last = net.last_dense

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.ndimage import median_filter
+from scipy.signal import fftconvolve
 
 from csicount.capture import split_streams
 from csicount.preprocess import (
+    WMA_TAPS,
+    _fast_len,
     build_count_sample,
     butterworth_lowpass,
     pca_denoise,
@@ -194,6 +198,28 @@ def test_pca_denoise_equals_median_of_sliced_components(shape):
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 
 
+def projected_components(matrix, keep):
+    """pca_denoise's kept components before the median: the same operations
+    on the same shapes, so the same bits (reference)."""
+    h = matrix - matrix.mean(axis=-2, keepdims=True)
+    d = h.shape[-1]
+    q = np.linalg.eigh(np.swapaxes(h, -1, -2) @ h)[1][..., np.arange(d - 2, d - 2 - keep, -1)]
+    return h @ q
+
+
+@pytest.mark.parametrize("shape", [(16, 1024, 40), (3, 300, 12), (2, 12), (4, 2, 12), (3, 2)])
+def test_pca_denoise_median_is_scipy_median_filter_bitwise(shape):
+    # stacks and two-row matrices: the edge-padded partition median gives
+    # the bits of scipy's 5-point median_filter(mode="nearest")
+    h = np.random.default_rng(sum(shape)).standard_normal(shape)
+    keep = min(10, shape[-1] - 1)
+    comps = projected_components(h, keep)
+    ref = median_filter(comps, size=(1,) * (len(shape) - 2) + (5, 1), mode="nearest")
+    out = pca_denoise(h, keep=keep)
+    assert out.shape == ref.shape
+    assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
 def test_pca_denoise_median_filter_kills_spikes():
     h = common_mode_matrix(seed=4)
     comps, _ = reference_components(h)
@@ -237,6 +263,28 @@ def test_wma_matches_direct_convolution():
         win = x[t - k + 1 : t + 1][::-1]  # newest first
         expected = (weights[:k] * win).sum() / weights[:k].sum()
         assert abs(got[t] - expected) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 99, 100, 101, 250, 1199, 10000])
+def test_wma_matches_fftconvolve(n):
+    # the numpy FFT convolution against scipy's fftconvolve; the two FFT
+    # builds need not agree to the last bit across numpy versions
+    x = np.random.default_rng(n).standard_normal((n, 6))
+    kernel = np.arange(WMA_TAPS, 0, -1, dtype=np.float64)
+    lags = np.minimum(np.arange(n), WMA_TAPS - 1)
+    denom = WMA_TAPS * (lags + 1) - lags * (lags + 1) / 2.0
+    ref = fftconvolve(x, kernel[:, None], mode="full", axes=0)[:n] / denom[:, None]
+    out = weighted_moving_average(x)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    # the smallest 5-smooth length >= n, for every n up to 100,000 and for
+    # large n, where such lengths lie far apart
+    for n in range(1, 100_001):
+        assert _fast_len(n) == next_fast_len(n, real=True), n
+    for n in np.random.default_rng(9).integers(1, 2**50, 500):
+        assert _fast_len(int(n)) == next_fast_len(int(n), real=True), n
 
 
 def test_wma_columns_independent():
