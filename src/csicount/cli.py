@@ -23,7 +23,10 @@ import numpy as np
 
 from .capture import read_capture, split_streams, write_capture
 from .counting import (
+    ACTIVITY_CUTOFF_HZ,
+    ACTIVITY_LEVELS,
     REGIME_LEARNING_RATES,
+    REGIMES,
     CountSession,
     Dataset,
     TrainConfig,
@@ -33,14 +36,7 @@ from .counting import (
     run_online,
     train,
 )
-from .hmm import (
-    ActivityLabel,
-    classify_activity,
-    fit_hmm,
-    load_hmm,
-    log_likelihood,
-    save_hmm,
-)
+from .hmm import ActivityLabel, classify_activity, fit_hmm, load_hmm, save_hmm
 from .neural import (
     build_cnn_lstm,
     build_cnn_lstm_toy,
@@ -50,6 +46,7 @@ from .neural import (
     save_network,
 )
 from .preprocess import (
+    PCA_KEEP,
     butterworth_lowpass,
     pca_denoise,
     sanitize_phase,
@@ -205,9 +202,6 @@ def _cmd_classify(args) -> int:
     capture = read_capture(args.capture)
     features = activity_features_from_capture(capture)
     best = classify_activity(models, features)
-    if log.isEnabledFor(logging.DEBUG):  # each score is one more forward pass
-        for key, model in models.items():
-            log.debug("%s log_likelihood=%f", key.name, log_likelihood(model, features))
     print(f"label={best.value}")
     print(f"activity={best.name}")
     return 0
@@ -323,14 +317,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="denoise a capture into a tensor file")
     p.add_argument("--mode", choices=("activity", "counting"), required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cutoff", type=float, default=200.0, help="low-pass cutoff, Hz (activity)")
-    p.add_argument("--keep", type=int, default=10, help="retained components (activity)")
+    p.add_argument(
+        "--cutoff", type=float, default=ACTIVITY_CUTOFF_HZ, help="low-pass cutoff, Hz (activity)"
+    )
+    p.add_argument("--keep", type=int, default=PCA_KEEP, help="retained components (activity)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("features", help="wavelet energy/variance features from components")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--levels", type=int, default=10)
+    p.add_argument("--levels", type=int, default=ACTIVITY_LEVELS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 
@@ -348,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-count", help="train a counting network from a manifest")
     p.add_argument("--data", required=True, help='JSON {"regime": r, "items": [{"path","label"}]}')
-    p.add_argument("--regime", choices=("fixed", "semi", "open"), default=None)
+    p.add_argument("--regime", choices=REGIMES, default=None)
     p.add_argument("--net", choices=sorted(NETWORK_BUILDERS), default="cnn-lstm")
     p.add_argument("--lr", type=float, default=None, help="default: per-regime rate")
     p.add_argument("--iters", type=int, default=3000)

@@ -19,9 +19,9 @@ alone, so a fine-tune in one window still changes the prediction of the
 next, inside a block too.  Only the batched rounding differs from
 counting each window alone.  The block bounds the memory both passes add.
 
-Counts are 1..5 (the classifier head's range).  A session's tracked count
-may still reach 0 when someone leaves an empty-looking room; labels are
-clamped into 1..5 and the clamping is logged.
+Counts are 1..5, read by _counts from the network's 5 output classes.  A
+session's tracked count may still reach 0 when someone leaves an empty-looking
+room; labels are clamped into 1..5 and the event log marks the clamping.
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ ACTIVITY_LEVELS = 10
 # 32 the front pass is only ~6% cheaper per window for twice the memory.
 ONLINE_BLOCK = 16
 
-REGIMES = ("fixed", "semi", "open")
 # Per-regime learning rates: scripted rooms tolerate the largest steps.
-REGIME_LEARNING_RATES = {"fixed": 0.2, "open": 0.15, "semi": 0.1}
+REGIME_LEARNING_RATES = {"fixed": 0.2, "semi": 0.1, "open": 0.15}
+REGIMES = tuple(REGIME_LEARNING_RATES)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,15 @@ class ConfusionMatrix:
 def _inputs(network: Network, windows) -> np.ndarray:
     if network.input_kind == "summary":
         return np.stack([w.column_mean for w in windows])
-    return np.stack([np.asarray(w.values, dtype=np.float64) for w in windows])
+    return np.stack([w.values for w in windows])
+
+
+def _counts(network: Network, x, start: int = 0) -> np.ndarray:
+    """Each row's most probable count 1..N_CLASSES through layers[start:]."""
+    probs = network.forward(x, start=start, keep_cache=False)
+    if probs.ndim != 2 or probs.shape[1] != N_CLASSES:
+        raise ValueError(f"network outputs {probs.shape[1:]} per window, not {N_CLASSES} counts")
+    return probs.argmax(axis=1) + 1
 
 
 def train(network: Network, dataset: Dataset, config: TrainConfig):
@@ -149,7 +157,6 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     losses = []
     best_loss = np.inf
-    best_params = None
     iteration = 0
     while iteration < config.max_iterations:
         order = rng.permutation(n)
@@ -173,8 +180,7 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
         if mean_loss < best_loss:
             best_loss = mean_loss
             best_params = network.get_param_vector()
-    if best_params is not None:
-        network.set_param_vector(best_params)
+    network.set_param_vector(best_params)  # the first pass always sets it
     return network, losses
 
 
@@ -186,11 +192,9 @@ def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> Confus
     labels = dataset.labels
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     for start in range(0, len(labels), batch_size):
-        chunk = windows[start : start + batch_size]
-        probs = network.forward(_inputs(network, chunk), keep_cache=False)
-        pred = probs.argmax(axis=1)
+        pred = _counts(network, _inputs(network, windows[start : start + batch_size]))
         for true, p in zip(labels[start : start + batch_size], pred):
-            counts[true - 1, p] += 1
+            counts[true - 1, p - 1] += 1
     return ConfusionMatrix(counts)
 
 
@@ -256,7 +260,7 @@ def amend_and_finetune(
     """
     before = session.current_count
     net = session.network
-    prediction = int(net.forward(head, start=net.last_dense, keep_cache=False).argmax()) + 1
+    prediction = int(_counts(net, head, start=net.last_dense)[0])
     if event is None:
         session.current_count = prediction
         session.event_log.append(

@@ -9,6 +9,7 @@ uses to correct the count.
 
 from __future__ import annotations
 
+import logging
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -16,6 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .tensorfile import read_framed, write_framed
+
+log = logging.getLogger(__name__)
 
 VARIANCE_FLOOR = 1e-6
 FIT_TOL = 1e-4  # Baum-Welch stops when the log-likelihood gains less than this
@@ -290,7 +293,8 @@ def classify_activity(models, obs):
 
     `models` maps ActivityLabel -> GaussianHmm.  Ties resolve toward the
     earlier label in the ActivityLabel enumeration order.  A (B, T, D)
-    stack gives a list of B labels, each model scoring it in one pass.
+    stack gives a list of B labels, each model scoring it in one pass.  At
+    debug level each model's B scores are logged on one line.
     """
     if not models:
         raise ValueError("no models to classify against")
@@ -298,6 +302,9 @@ def classify_activity(models, obs):
     if not labels:
         raise ValueError("models must be keyed by ActivityLabel")
     scores = np.array([log_likelihoods(models[label], obs) for label in labels])
+    if log.isEnabledFor(logging.DEBUG):
+        for label, row in zip(labels, scores):
+            log.debug("%s log_likelihood=%s", label.name, " ".join(f"{v:f}" for v in row))
     best = [labels[i] for i in np.argmax(np.where(np.isnan(scores), -np.inf, scores), axis=0)]
     return best if np.ndim(obs) == 3 else best[0]
 

@@ -418,19 +418,15 @@ class Dense(Layer):
     def forward(self, x, training):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise self._bad_shape(x, f"(batch, {self.in_dim})")
-        z = x @ self.W + self.b
+        out = x @ self.W + self.b
         if self.activation == "relu":
-            mask = z > 0
-            out = np.where(mask, z, 0.0)
-        else:
-            mask = None
-            out = z
-        self._cache = (x, mask)
+            np.maximum(out, 0.0, out=out)
+        self._cache = (x, out)
         return out
 
     def backward(self, dout, need_dx=True):
-        x, mask = self._cache
-        dz = dout * mask if mask is not None else dout
+        x, out = self._cache
+        dz = dout * (out > 0) if self.activation == "relu" else dout
         self.dW += x.T @ dz
         self.db += dz.sum(axis=0)
         self._cache = None

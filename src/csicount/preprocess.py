@@ -15,6 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 BUTTERWORTH_ORDER = 4
 WMA_TAPS = 100
+PCA_KEEP = 10
 
 
 def _fast_len(n: int) -> int:
@@ -67,7 +68,7 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float):
     return out[pad : pad + n].reshape(shape)
 
 
-def pca_denoise(matrix: np.ndarray, keep: int = 10) -> np.ndarray:
+def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP) -> np.ndarray:
     """Drop the dominant component, keep the next `keep`, median filter.
 
     The first principal component concentrates the common-mode variation
@@ -148,13 +149,11 @@ class CsiWindow:
     """One network-ready sample: a standardized (frames, 360) matrix.
 
     values       per-column standardized [amplitude | sanitized phase]
-    column_mean  the 360 column means removed by standardization
-    column_std   the 360 column standard deviations divided out
+    column_mean  the 360 column means removed, a summary network's input
     """
 
     values: np.ndarray
     column_mean: np.ndarray
-    column_std: np.ndarray
 
 
 def build_count_sample(amp_window: np.ndarray, phase_window: np.ndarray) -> CsiWindow:
@@ -173,4 +172,4 @@ def build_count_sample(amp_window: np.ndarray, phase_window: np.ndarray) -> CsiW
     std = stacked.std(axis=0)
     safe = np.where(std > 1e-12, std, 1.0)
     values = np.where(std > 1e-12, (stacked - mean) / safe, 0.0)
-    return CsiWindow(values, mean, std)
+    return CsiWindow(values, mean)

@@ -22,6 +22,7 @@ of a 20 MHz channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -85,12 +86,6 @@ class Scene:
     def n_persons(self) -> int:
         return len(self.persons)
 
-    def all_paths(self) -> list[Path]:
-        paths = list(self.static_paths)
-        for person in self.persons:
-            paths.extend(person)
-        return paths
-
 
 @dataclass(frozen=True)
 class PhaseDistortion:
@@ -137,7 +132,7 @@ def simulate_capture(
     streams = np.arange(CsiCapture.n_tx * CsiCapture.n_rx, dtype=np.float64)
 
     h = np.zeros((n_frames, streams.size, freqs.size), dtype=np.complex128)
-    for path in scene.all_paths():
+    for path in chain(scene.static_paths, *scene.persons):
         tau_t = path.initial_delay + 2.0 * path.velocity * t / C_LIGHT
         tau = tau_t[:, None] + streams[None, :] * path.stream_delay_step
         h += path.attenuation * np.exp(-2j * np.pi * tau[:, :, None] * freqs[None, None, :])

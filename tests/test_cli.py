@@ -15,7 +15,9 @@ import pytest
 import csicount
 from csicount import hmm
 from csicount.cli import main
-from csicount.neural import build_fcbp, save_network
+from csicount.capture import read_capture
+from csicount.counting import activity_features_from_capture
+from csicount.neural import Dense, Network, Softmax, build_fcbp, save_network
 from csicount.tensorfile import read_tensor, write_tensor
 
 
@@ -131,16 +133,22 @@ def test_pipeline_runs_without_scipy(tmp_path):
         "from csicount.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     (tmp_path / "walk.json").write_text(json.dumps({"label": "W", "captures": ["w.csic"]}))
+    (tmp_path / "count.json").write_text(json.dumps({"items": [{"path": "w.csic", "label": 1}]}))
     (tmp_path / "models").mkdir()
     save_network(build_fcbp(seed=0), tmp_path / "net.csnn")
     for argv in (
         ["simulate", "--persons", "1", "--duration", "1.4", "--seed", "3", "--out", "w.csic"],
+        ["inject", "--in", "w.csic", "--slope", "0.05", "--offset", "0.9", "--out", "dirty.csic"],
         ["preprocess", "--mode", "activity", "--in", "w.csic", "--out", "comps.csit"],
         ["preprocess", "--mode", "counting", "--in", "w.csic", "--out", "counting.csit"],
         ["features", "--in", "comps.csit", "--out", "feats.csit"],
         ["train-hmm", "--data", "walk.json", "--states", "2", "--out", "models/walking.hmm"],
         ["classify", "--models", "models", "--capture", "w.csic"],
         ["online", "--ckpt", "net.csnn", "--hmm", "models", "--capture", "w.csic"],
+        ["train-count", "--data", "count.json", "--net", "fcbp", "--iters", "5", "--batch", "4",
+         "--out", "trained.csnn"],
+        ["eval", "--ckpt", "trained.csnn", "--data", "count.json"],
+        ["gradcheck"],
     ):
         proc = subprocess.run(
             [sys.executable, "-c", child, *argv],
@@ -208,7 +216,9 @@ def test_preprocess_and_features_pipeline(capsys, tmp_path):
     code, kv, _ = run_cli(capsys, "features", "--in", str(comps), "--out", str(feats))
     assert code == 0
     assert kv["shape"] == "20x16"  # 2*10 scales by 2100//128 windows
-    assert np.isfinite(read_tensor(feats)).all()
+    # the default cutoff, keep and levels are the activity branch's own
+    expected = activity_features_from_capture(read_capture(cap)).T
+    assert read_tensor(feats).tobytes() == expected.tobytes()
 
 
 def test_features_rejects_tensor_cut_inside_its_dims(capsys, tmp_path):
@@ -319,8 +329,9 @@ def test_classify_scores_each_model_once_unless_debugging(capsys, caplog, monkey
     code, _, debug_out = run_cli(capsys, *argv)
     assert code == 0
     assert debug_out == out
-    assert len(passes) == 4
-    assert sum("log_likelihood=" in r.getMessage() for r in caplog.records) == 2
+    assert len(passes) == 2  # the debug lines reuse the classifying scores
+    scored = [r for r in caplog.records if "log_likelihood=" in r.getMessage()]
+    assert len(scored) == 2 and {r.name for r in scored} == {"csicount.hmm"}
 
 
 def test_classify_rejects_unknown_model_label(capsys, tmp_path):
@@ -437,6 +448,16 @@ def test_online_rejects_hostile_checkpoint(capsys, tmp_path):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # numpy's overflow warning is no error line
                 assert_one_line_error(capsys, argv, needle)
+
+    # networks that do not output the 5 counts: eval once raised IndexError,
+    # and online printed count=7 from a 7-unit last dense layer
+    wide = Network([Dense(360, 7), Softmax()], input_kind="summary")
+    for net, online_needle in ((wide, "not 5 counts"), (Network([]), "no dense layer")):
+        save_network(net, ckpt)
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(manifest)]
+        assert_one_line_error(capsys, argv, "not 5 counts")
+        argv = ["online", "--ckpt", str(ckpt), "--capture", str(cap)]
+        assert_one_line_error(capsys, argv, online_needle)
 
 
 def test_eval_rejects_deeply_nested_checkpoint_header(capsys, tmp_path):

@@ -49,12 +49,12 @@ from csicount.wavelet import feature_matrix_from_components
 
 def toy_window(values):
     """A 12x20 sample for the small test network (sequence input)."""
-    return CsiWindow(np.asarray(values, dtype=np.float64), np.zeros(20), np.ones(20))
+    return CsiWindow(np.asarray(values, dtype=np.float64), np.zeros(20))
 
 
 def summary_window(rng, scale=1.0):
     """A sample for the flat network, which reads only the column means."""
-    return CsiWindow(np.zeros((2, 360)), rng.standard_normal(360) * scale, np.ones(360))
+    return CsiWindow(np.zeros((2, 360)), rng.standard_normal(360) * scale)
 
 
 def toy_dataset(n_per_class=24, noise=0.3, seed=7):
@@ -236,6 +236,20 @@ def test_untrained_network_sits_at_chance():
     accs = [evaluate(build_fcbp(seed=s), ds).accuracy for s in range(5)]
     assert abs(float(np.mean(accs)) - 0.2) < 0.05
     assert all(abs(a - 0.2) < 0.07 for a in accs)
+
+
+def test_counts_are_read_only_from_five_output_classes():
+    # a 7-unit last dense layer once read as counts 6 and 7 (an IndexError in
+    # evaluate), and a network with no layers as one of its 360 inputs
+    ds = Dataset([(summary_window(np.random.default_rng(5)), 1)])
+    cap = simulate_capture(make_count_scene(1, seed=3), 400 / 1500.0, seed=3)
+    wide = neural.Network([Dense(360, 7), neural.Softmax()], input_kind="summary")
+    layerless = neural.Network([], input_kind="summary")
+    for net, online_error in ((wide, "not 5 counts"), (layerless, "no dense layer")):
+        with pytest.raises(ValueError, match="not 5 counts"):
+            evaluate(net, ds)
+        with pytest.raises(ValueError, match=online_error):
+            run_online(CountSession(net), cap)
 
 
 # --------------------------------------------------- prediction and amending
