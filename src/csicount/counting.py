@@ -16,8 +16,9 @@ batched front pass gives their heads and one activity pass scores their
 stacked histories, cut from one causally low-passed stream.  It then
 amends the windows one by one through the final dense layer and softmax
 alone, so a fine-tune in one window still changes the prediction of the
-next, inside a block too.  Only the batched rounding differs from
-counting each window alone.  The block bounds the memory both passes add.
+next, inside a block too.  Only the batched rounding and PCA's warm start
+(features within 1e-9 of each window's largest) differ from counting each
+window alone.  The block bounds the memory both passes add.
 
 Counts are 1..5, read by _counts from the network's 5 output classes.  A
 session's tracked count may still reach 0 when someone leaves an empty-looking
@@ -329,7 +330,7 @@ def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
 
 def _filtered_features(filtered: np.ndarray) -> np.ndarray:
     """activity_features after the low-pass, for one (n, d) history or a (B, n, d)
-    stack: PCA and the wavelet cascade each run once over the whole stack."""
+    stack: the wavelet cascade runs once over the whole stack."""
     matrix = feature_matrix_from_components(pca_denoise(filtered), levels=ACTIVITY_LEVELS)
     return np.ascontiguousarray(np.swapaxes(matrix, -1, -2))
 

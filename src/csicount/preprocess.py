@@ -2,8 +2,9 @@
 
 Activity branch: zero-phase Butterworth low-pass, then PCA across the 180
 CSI columns (drop the first principal component, keep the next few, median
-filter).  Counting branch: weighted moving average over amplitudes, phase
-sanitization, and assembly of standardized fixed-length samples.
+filter; through a stack, certified warm starts in place of eigh).  Counting
+branch: weighted moving average over amplitudes, phase sanitization, and
+assembly of standardized fixed-length samples.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 BUTTERWORTH_ORDER = 4
 WMA_TAPS = 100
 PCA_KEEP = 10
+PCA_WARM_STEPS = 6  # (g @ g, QR) steps a warm start may take before eigh
+PCA_DAVIS_KAHAN = 1e-8  # largest residual / gap a warm Ritz pair may have
 
 
 def _fast_len(n: int) -> int:
@@ -68,26 +70,63 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float):
     return out[pad : pad + n].reshape(shape)
 
 
+def _warm_span(g: np.ndarray, span: np.ndarray, top: int):
+    """Ritz vectors of g, ascending, by subspace iteration on g @ g from `span`;
+    None unless they are certified (see pca_denoise)."""
+    frob, gv = np.vdot(g, g), g @ span
+    for _ in range(PCA_WARM_STEPS):
+        span = np.linalg.qr(g @ gv)[0]
+        gv = g @ span
+        theta, w = np.linalg.eigh(span.T @ gv)  # Rayleigh-Ritz
+        span = span @ w
+        residual = np.linalg.norm(gv @ w - span * theta, axis=0)
+        gap = np.diff(theta, prepend=-np.inf, append=np.inf)
+        gap = np.minimum(gap[:-1], gap[1:])
+        pinned = (residual <= 1e-12 * theta[-1]) & (residual < PCA_DAVIS_KAHAN * gap)
+        p = np.argmin(np.append(pinned[:0:-1], False))  # leading pinned pairs, < len
+        if p >= top and frob - theta @ theta + theta[-p - 1] ** 2 < theta[-top] ** 2:
+            return span
+    return None
+
+
 def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP) -> np.ndarray:
     """Drop the dominant component, keep the next `keep`, median filter.
 
     The first principal component concentrates the common-mode variation
     shared by all CSI columns and is discarded; the returned matrix holds
     components 2 .. keep+1, each smoothed with a 5-point median filter.
-    A (..., n, d) stack of matrices is denoised matrix by matrix.
+    A (..., n, d) stack is denoised one matrix at a time, centered in one
+    reused buffer.  A 2-D matrix and a stack's first take np.linalg.eigh of
+    G, the Gram matrix; a later one iterates from the previous one's top
+    keep + 13 vectors and keeps the Ritz pairs if the top p >= keep + 1 have
+    residual <= 1e-12 * theta_1 and residual / gap to the nearest other Ritz
+    value (Davis-Kahan) < PCA_DAVIS_KAHAN, and ||G||_F^2 - sum(theta^2) +
+    theta_(p+1)^2 < theta_(keep+1)^2: by interlacing, no eigenvalue outside
+    the span reaches theta_(keep+1).  Else eigh.  A warm component may differ
+    in sign from eigh's; the features are sign-invariant.
     """
-    h = np.asarray(matrix, dtype=np.float64)
-    if h.ndim < 2 or h.shape[-2] < 2:
+    x = np.asarray(matrix, dtype=np.float64)
+    if x.ndim < 2 or x.shape[-2] < 2:
         raise ValueError("need a 2-D matrix with at least two rows")
-    d = h.shape[-1]
-    if not 1 <= keep <= d - 1:
-        raise ValueError(f"keep must be in 1..{d - 1}")
-    h = h - h.mean(axis=-2, keepdims=True)
-    # eigh sorts ascending: the kept vectors, strongest first, are columns d-2, d-3, ..
-    q = np.linalg.eigh(np.swapaxes(h, -1, -2) @ h)[1][..., np.arange(d - 2, d - 2 - keep, -1)]
-    # a 5-point median down each component, the ends extended by their edge rows
-    edges = np.pad(h @ q, [(0, 0)] * (h.ndim - 2) + [(2, 2), (0, 0)], mode="edge")
-    return np.partition(sliding_window_view(edges, 5, axis=-2), 2, axis=-1)[..., 2]
+    n, cols = x.shape[-2:]
+    if not 1 <= keep <= cols - 1:
+        raise ValueError(f"keep must be in 1..{cols - 1}")
+    h, edges, span = np.empty((n, cols)), np.empty((n + 4, keep)), None
+    out = np.empty(x.shape[:-1] + (keep,))
+    for x1, out1 in zip(x.reshape(-1, n, cols), out.reshape(-1, n, keep)):
+        np.subtract(x1, x1.mean(axis=0), out=h)
+        g = h.T @ h
+        if span is None or cols <= keep + 13 or (vecs := _warm_span(g, span, keep + 1)) is None:
+            vecs = np.linalg.eigh(g)[1]
+        span, k = vecs[:, -keep - 13 :], vecs.shape[1]
+        # ascending order: the kept vectors, strongest first, are columns k-2, k-3, ..
+        edges[2:-2] = h @ vecs[:, np.arange(k - 2, k - 2 - keep, -1)]
+        edges[:2], edges[-2:] = edges[2], edges[-3]  # the ends extended by their edge rows
+        a, b, c, d, e = (edges[i : i + n] for i in range(5))  # a 5-point median network
+        lo = np.maximum(np.minimum(a, b), np.minimum(c, d))
+        hi = np.minimum(np.maximum(a, b), np.maximum(c, d))
+        np.maximum(np.minimum(lo, hi), np.minimum(np.maximum(lo, hi), e), out=out1)
+    return out
 
 
 def weighted_moving_average(series):

@@ -766,9 +766,10 @@ def test_run_online_window_sees_only_its_own_past(
 def test_batched_activity_branch_matches_one_history_at_a_time(
     activity_models, walk_door_capture
 ):
-    # PCA, the median filter, the wavelet cascade and the HMM forward pass
-    # each run once over a stack of histories; every history must come out
-    # as it does alone
+    # the wavelet cascade and the HMM forward pass each run once over a
+    # stack of histories; every history must come out as it does alone, its
+    # features within 1e-9 of each window's largest, since PCA may take a
+    # warm-started solver for all but the stack's first history
     _, models = activity_models
     amp, _ = split_streams(walk_door_capture)
     ends = range(ACTIVITY_HISTORY, amp.shape[0] + 1, 5 * WINDOW_LEN)
@@ -779,7 +780,7 @@ def test_batched_activity_branch_matches_one_history_at_a_time(
     single = [feature_matrix_from_components(pca_denoise(h)).T for h in stack]
     assert batched.shape == (len(stack), ACTIVITY_HISTORY // 128, 20)
     for got, ref in zip(batched, single):
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+        assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref).max(axis=-1, keepdims=True))
 
     zero_start = GaussianHmm(  # an exact zero in initial: log(0) in the forward pass
         [0.0, 0.6, 0.4],
@@ -800,6 +801,35 @@ def test_batched_activity_branch_matches_one_history_at_a_time(
     # identical models tie exactly: the earlier label of the enumeration wins
     twins = {ActivityLabel.RUNNING: zero_start, ActivityLabel.WALKING: zero_start}
     assert classify_activity(twins, batched) == [ActivityLabel.WALKING] * len(stack)
+
+
+def test_warm_pca_takes_one_eigh_per_stack_of_consecutive_histories(
+    walk_door_capture, monkeypatch
+):
+    # consecutive windows' histories share all but WINDOW_LEN rows, so every
+    # history after a stack's first is certified from the previous one's
+    # vectors; the features keep to 1e-9 of each window's largest
+    amp, _ = split_streams(walk_door_capture)
+    ends = range(ACTIVITY_HISTORY, amp.shape[0] + 1, WINDOW_LEN)
+    histories = np.stack(
+        [butterworth_lowpass(amp[e - ACTIVITY_HISTORY : e], 1500.0, 200.0) for e in ends]
+    )
+    single = [feature_matrix_from_components(pca_denoise(h)).T for h in histories]
+    eigh, sizes = np.linalg.eigh, []
+
+    def counted(a):
+        sizes.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    stacks = [histories[i : i + ONLINE_BLOCK] for i in range(0, len(histories), ONLINE_BLOCK)]
+    assert len(stacks) >= 2 and len(stacks[0]) == ONLINE_BLOCK
+    for k, stack in enumerate(stacks):
+        sizes.clear()
+        batched = feature_matrix_from_components(pca_denoise(stack)).swapaxes(1, 2)
+        assert sizes.count(amp.shape[1]) == 1
+        for got, ref in zip(batched, single[k * ONLINE_BLOCK :]):
+            assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref).max(axis=-1, keepdims=True))
 
 
 def test_online_lowpass_context_is_bounded_at_high_rates(activity_models, monkeypatch):

@@ -1,5 +1,8 @@
 """Filtering, PCA denoising, smoothing, phase cleanup, sample assembly."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
@@ -8,6 +11,7 @@ from scipy.signal import fftconvolve
 
 from csicount.capture import split_streams
 from csicount.preprocess import (
+    PCA_KEEP,
     WMA_TAPS,
     _fast_len,
     build_count_sample,
@@ -228,6 +232,64 @@ def test_pca_denoise_median_filter_kills_spikes():
     # a 5-point median filter must not widen the value range
     assert smooth.max() <= raw.max() + 1e-12
     assert smooth.min() >= raw.min() - 1e-12
+
+
+def test_pca_denoise_finds_a_component_the_warm_start_cannot_see():
+    # the second matrix adds a strong component along the first one's
+    # weakest eigenvector, orthogonal to the vectors its warm start iterates
+    # from: that span is invariant, its Ritz pairs converge, and only the
+    # Frobenius-norm interlacing check sees the eigenvalue outside it
+    rng = np.random.default_rng(7)
+    n, d = 300, 40
+    scales = np.concatenate([np.linspace(3.0, 1.0, 23), np.full(d - 23, 0.01)])
+    first = rng.standard_normal((n, d)) * scales
+    h = first - first.mean(axis=0)
+    weakest = np.linalg.eigh(h.T @ h)[1][:, 0]
+    basis = np.linalg.qr(np.column_stack([np.ones(n), h]))[0]
+    t = rng.standard_normal(n)
+    t -= basis @ (basis.T @ t)  # zero mean, orthogonal to every column of h
+    second = first + np.sqrt(6.0 * n) * np.outer(t / np.linalg.norm(t), weakest)
+    out = pca_denoise(np.stack([first, second]))
+    ref = pca_denoise(second)
+    signs = np.sign(np.sum(out[1] * ref, axis=0))
+    h = second - second.mean(axis=0)
+    assert weakest @ h.T @ h @ weakest > np.linalg.eigvalsh(h.T @ h)[-PCA_KEEP - 1]  # kept
+    np.testing.assert_allclose(out[1] * signs, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        np.zeros((3, 50, 30)),
+        np.full((3, 50, 30), 4.2),
+        np.random.default_rng(1).standard_normal((4, 2, 30)),
+        np.random.default_rng(2).standard_normal((3, 100, 23)),
+        np.random.default_rng(3).standard_normal((3, 100, 12)),
+    ],
+)
+def test_pca_denoise_degenerate_stacks_warn_nothing(stack):
+    # zero, constant and two-row matrices give no certificate (no division by
+    # their zero gaps), and d <= keep + 13 never starts the warm solver
+    keep = min(PCA_KEEP, stack.shape[-1] - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pca_denoise(stack, keep=keep)
+    assert out.shape == stack.shape[:-1] + (keep,)
+    assert np.all(np.isfinite(out))
+    if np.ptp(stack) == 0:
+        assert np.max(np.abs(out)) < 1e-9
+
+
+def test_pca_denoise_centers_one_matrix_at_a_time():
+    # a (16, 1024, 180) stack is 22.5 MiB; no copy of it is made
+    stack = np.random.default_rng(5).standard_normal((16, 1024, 180))
+    tracemalloc.start()
+    try:
+        pca_denoise(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= stack.nbytes / 4
 
 
 # ----------------------------------------------------------------- wma
