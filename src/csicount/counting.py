@@ -9,16 +9,23 @@ When a door event contradicts the prediction, the window is relabeled
 with the event-implied count and only the final dense layer is
 fine-tuned — every other parameter stays bitwise identical.
 
+A session is fed frames by CountSession.push, in chunks of any size, and
+carries only causal state between pushes (see CountSession); run_online
+is one push of a whole capture.  The moving average is an exact causal
+FIR in blocks of one window, so the windows are bit-identical in any
+chunking and to count_windows_from_capture's.
+
 Because fine-tuning never touches the layers before that final dense
 layer, a window's input to it (its head) is fixed for the whole session.
-run_online therefore takes up to ONLINE_BLOCK (16) windows at a time: a
-batched front pass gives their heads and one activity pass scores their
-stacked histories, cut from one causally low-passed stream.  It then
-amends the windows one by one through the final dense layer and softmax
-alone, so a fine-tune in one window still changes the prediction of the
-next, inside a block too.  Only the batched rounding and PCA's warm start
-(features within 1e-9 of each window's largest) differ from counting each
-window alone.  The block bounds the memory both passes add.
+push therefore takes up to ONLINE_BLOCK (16) complete windows at a time:
+it splits, smooths and sanitizes their frames, a batched front pass gives
+their heads, and one activity pass scores their stacked histories, cut
+from one causally low-passed stream.  It then amends the windows one by
+one through the final dense layer and softmax alone, so a fine-tune in
+one window still changes the prediction of the next, inside a block too.
+Only the batched rounding and PCA's warm start (features within 1e-9 of
+each window's largest) differ from counting each window alone.  The
+block bounds the memory a push adds, whatever the chunk's length.
 
 Counts are 1..5, read by _counts from the network's 5 output classes.  A
 session's tracked count may still reach 0 when someone leaves an empty-looking
@@ -28,7 +35,6 @@ room; labels are clamped into 1..5 and the event log marks the clamping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .capture import CsiCapture, split_streams
 from .hmm import ActivityLabel, DoorEvent, DoorEventDetector, classify_activity
 from .neural import Network, finetune_last_dense
 from .preprocess import (
+    WMA_TAPS,
     CsiWindow,
     build_count_sample,
     butterworth_lowpass,
@@ -51,8 +58,8 @@ WINDOW_LEN = 200
 ACTIVITY_HISTORY = 1024  # samples of amplitude fed to the activity branch
 ACTIVITY_CUTOFF_HZ = 200.0
 ACTIVITY_LEVELS = 10
-# Windows per front pass in run_online.  Batching spreads the per-step cost
-# of the LSTM's 200 recurrent steps over the block, but the block's windows,
+# Windows per front pass in CountSession.push.  Batching spreads the per-step
+# cost of the LSTM's 200 recurrent steps over the block, but the block's windows,
 # their stacked input and the front layers' outputs are all alive at once:
 # for the CNN-LSTM about 9 + 9 + 20 MB at 16 windows, growing linearly.  At
 # 32 the front pass is only ~6% cheaper per window for twice the memory.
@@ -229,17 +236,112 @@ class CountSession:
     Only the final dense layer may change during a session (via the
     amendment fine-tune); current_count may be 0 even though the network
     can only express 1..5, and may not exceed 5, so that a door event
-    moves it by at most one.
+    moves it by at most one.  push feeds it frames; between pushes it
+    carries only causal state: frames_seen, the last max(2 * pad,
+    WMA_TAPS - 1) amplitude rows, the frames of the window not yet
+    complete, the filtered activity ring, the door-event detector and
+    PCA's warm span.
     """
 
     network: Network
     hmm_models: dict = field(default_factory=dict)
     current_count: int = 0
     event_log: list = field(default_factory=list, init=False)
+    frames_seen: int = field(default=0, init=False)
+    _format: tuple | None = field(default=None, init=False, repr=False)
+    _last_time: float = field(default=-np.inf, init=False, repr=False)
+    _held: tuple = field(default=(), init=False, repr=False)  # (values, timestamps)
+    _tail: np.ndarray | None = field(default=None, init=False, repr=False)
+    _ring: np.ndarray | None = field(default=None, init=False, repr=False)
+    _detector: DoorEventDetector = field(
+        default_factory=DoorEventDetector, init=False, repr=False
+    )
+    _warm: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.current_count <= N_CLASSES:
             raise ValueError(f"current_count must be in 0..{N_CLASSES}")
+
+    def push(self, chunk: CsiCapture) -> list:
+        """Count the windows that `chunk` completes; one OnlineStep each.
+
+        The session's frames are cut into consecutive windows from its
+        first.  Each block of up to ONLINE_BLOCK complete windows shares one
+        front pass and one activity pass; its windows are then amended in
+        order, so a fine-tune reaches every later window.  Windows before
+        ACTIVITY_HISTORY frames carry activity None.  A chunk must have the
+        first chunk's rate and geometry, and its first timestamp must follow
+        the last one seen; else ValueError, and the session is unchanged.
+        """
+        fmt = (chunk.rate_hz, chunk.n_tx, chunk.n_rx, chunk.n_sub)
+        if self._format not in (None, fmt):
+            raise ValueError(f"chunk has rate and geometry {fmt}; the session has {self._format}")
+        if chunk.n_frames and chunk.timestamps[0] <= self._last_time:
+            raise ValueError(
+                f"chunk starts at {chunk.timestamps[0]} s, not after the last frame seen "
+                f"at {self._last_time} s"
+            )
+        if chunk.n_frames == 0:
+            return []
+        if self._format is None:
+            d = chunk.n_streams * chunk.n_sub
+            self._format, self._tail = fmt, np.empty((0, d))
+            self._ring = np.empty((ACTIVITY_HISTORY, d))  # the filtered activity stream
+            self._held = (chunk.values[:0], chunk.timestamps[:0])
+        values, times = self._held
+        start, used, steps = self.frames_seen - len(times), 0, []
+        while k := min(ONLINE_BLOCK, (len(times) + chunk.n_frames - used) // WINDOW_LEN):
+            stop = used + k * WINDOW_LEN - len(times)
+            block = CsiCapture(
+                np.concatenate([values, chunk.values[used:stop]]),
+                np.concatenate([times, chunk.timestamps[used:stop]]),
+                *fmt,
+            )
+            steps += self._count_block(block, start)
+            values, times, used, start = values[:0], times[:0], stop, start + block.n_frames
+        self._held = (
+            np.concatenate([values, chunk.values[used:]]),
+            np.concatenate([times, chunk.timestamps[used:]]),
+        )
+        self._last_time = chunk.timestamps[-1]
+        self.frames_seen += chunk.n_frames
+        return steps
+
+    def _count_block(self, block: CsiCapture, start: int) -> list:
+        """Count the whole windows of `block`, whose first frame is frame `start`."""
+        pad = min(lowpass_pad(block.rate_hz, ACTIVITY_CUTOFF_HZ), ACTIVITY_HISTORY - 1)
+        amp, phase = split_streams(block)
+        amp = np.concatenate([self._tail, amp])
+        base = start - len(self._tail)  # the frame of amp's first row
+        ends = np.arange(start + WINDOW_LEN, start + block.n_frames + 1, WINDOW_LEN)
+        heads = window_heads(
+            self.network,
+            [
+                _count_window(
+                    amp[max(end - WINDOW_LEN - WMA_TAPS + 1, 0) - base : end - base],
+                    phase[end - WINDOW_LEN - start : end - start],
+                    block.n_streams,
+                    block.n_sub,
+                )
+                for end in ends
+            ],
+        )
+        activities = [None] * len(ends)
+        if self.hmm_models:
+            histories = _stream_histories(amp, base, ends, block.rate_hz, pad, self._ring)
+            if len(histories):
+                features = _filtered_features(histories, self._warm)
+                activities[len(ends) - len(histories) :] = classify_activity(
+                    self.hmm_models, features
+                )
+        self._tail = amp[-max(2 * pad, WMA_TAPS - 1) :].copy()
+        steps = []
+        for end, head, activity in zip(ends.tolist(), heads, activities):
+            i = end // WINDOW_LEN - 1
+            event = self._detector.push(activity)
+            count = amend_and_finetune(self, head[None], event, time_index=i)
+            steps.append(OnlineStep(i, end, self.event_log[-1].prediction, count, activity, event))
+        return steps
 
 
 def amend_and_finetune(
@@ -289,29 +391,32 @@ def amend_and_finetune(
     return expected
 
 
-def _count_windows(capture: CsiCapture, amp, phase):
-    """Standardized count windows of a capture's split streams, built as drawn.
-
-    Amplitude is smoothed with the weighted moving average and phase is
-    sanitized once over the whole capture (both are causal/per-sample, so
-    this matches streaming); each non-overlapping window is then
-    standardized per column.
-    """
-    n_frames = amp.shape[0]
-    if n_frames < WINDOW_LEN:
-        raise ValueError(f"capture has {n_frames} frames; needs at least {WINDOW_LEN}")
-    amp_s = weighted_moving_average(amp)
-    phase_s = sanitize_phase(phase, capture.n_streams, capture.n_sub)
-    return (
-        build_count_sample(amp_s[start : start + WINDOW_LEN], phase_s[start : start + WINDOW_LEN])
-        for start in range(0, n_frames - WINDOW_LEN + 1, WINDOW_LEN)
+def _count_window(amp: np.ndarray, phase: np.ndarray, n_streams: int, n_sub: int) -> CsiWindow:
+    """One standardized count window from the phase of its WINDOW_LEN frames
+    and their amplitude after the rows before them (all, or the last
+    WMA_TAPS - 1): amplitude smoothed by the causal moving average, phase
+    sanitized per frame."""
+    return build_count_sample(
+        weighted_moving_average(amp[-WINDOW_LEN:], amp[:-WINDOW_LEN]),
+        sanitize_phase(phase, n_streams, n_sub),
     )
 
 
 def count_windows_from_capture(capture: CsiCapture) -> list:
-    """Cut a capture into standardized count windows (see _count_windows)."""
+    """Cut a capture into standardized non-overlapping count windows, the
+    windows CountSession.push builds from the same frames."""
     amp, phase = split_streams(capture)
-    return list(_count_windows(capture, amp, phase))
+    if capture.n_frames < WINDOW_LEN:
+        raise ValueError(f"capture has {capture.n_frames} frames; needs at least {WINDOW_LEN}")
+    return [
+        _count_window(
+            amp[max(start - WMA_TAPS + 1, 0) : start + WINDOW_LEN],
+            phase[start : start + WINDOW_LEN],
+            capture.n_streams,
+            capture.n_sub,
+        )
+        for start in range(0, capture.n_frames - WINDOW_LEN + 1, WINDOW_LEN)
+    ]
 
 
 def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
@@ -328,32 +433,35 @@ def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:
     return _filtered_features(butterworth_lowpass(amplitude, rate_hz, ACTIVITY_CUTOFF_HZ))
 
 
-def _filtered_features(filtered: np.ndarray) -> np.ndarray:
+def _filtered_features(filtered: np.ndarray, warm: list | None = None) -> np.ndarray:
     """activity_features after the low-pass, for one (n, d) history or a (B, n, d)
-    stack: the wavelet cascade runs once over the whole stack."""
-    matrix = feature_matrix_from_components(pca_denoise(filtered), levels=ACTIVITY_LEVELS)
+    stack: the wavelet cascade runs once over the whole stack.  `warm` carries
+    PCA's warm span between calls (see pca_denoise)."""
+    matrix = feature_matrix_from_components(
+        pca_denoise(filtered, warm=warm), levels=ACTIVITY_LEVELS
+    )
     return np.ascontiguousarray(np.swapaxes(matrix, -1, -2))
 
 
-def _stream_histories(amp: np.ndarray, ends: np.ndarray, rate_hz: float, ring: np.ndarray):
+def _stream_histories(amp, base: int, ends, rate_hz: float, pad: int, ring: np.ndarray):
     """Stacked filtered histories of the windows ending at `ends` that have them.
 
-    The low-passed amplitude is a stream, row t at ring[t % len(ring)].  Each
-    window re-filters its frames plus 2*pad before them (pad: the low-pass's
+    `amp` holds the amplitude rows from frame `base` on.  The low-passed
+    amplitude is a stream, row t at ring[t % len(ring)].  Each window
+    re-filters its frames plus 2*pad before them (pad: the low-pass's
     reflection pad, capped at ACTIVITY_HISTORY - 1 as for a single history;
-    the first frame is held before the capture) and writes all but the first
-    pad rows, up to the ring's length.  Rows more than pad behind its end are
-    then final; the last pad, reflection-padded at the live end, are
+    the first frame is held before the capture) and writes all but the
+    first pad rows, up to the ring's length.  Rows more than pad behind its
+    end are then final; the last pad, reflection-padded at the live end, are
     provisional until the next window rewrites them.  No window reads past
     its own end.
     """
-    pad = min(lowpass_pad(rate_hz, ACTIVITY_CUTOFF_HZ), ACTIVITY_HISTORY - 1)
     span = WINDOW_LEN + 2 * pad
     keep = min(WINDOW_LEN + pad, len(ring))
     histories = np.empty((len(ends), ACTIVITY_HISTORY, amp.shape[1]))
     n = 0
     for end in ends:
-        segment = amp[np.maximum(np.arange(end - span, end), 0)]
+        segment = amp[np.maximum(np.arange(end - span, end), 0) - base]
         filtered = butterworth_lowpass(segment, rate_hz, ACTIVITY_CUTOFF_HZ)
         ring[np.arange(end - keep, end) % len(ring)] = filtered[-keep:]
         if end >= ACTIVITY_HISTORY:
@@ -380,36 +488,8 @@ class OnlineStep:
 
 
 def run_online(session: CountSession, capture: CsiCapture) -> list:
-    """Run the fused online pipeline over one capture.
-
-    Consecutive non-overlapping windows are counted; in parallel the
-    trailing amplitude history feeds the activity classifier, whose
-    debounced door events drive count amendments.  Each block of up to
-    ONLINE_BLOCK windows shares one front pass and one activity pass; its
-    windows are then amended in order, so a fine-tune reaches every later
-    window.  Returns one OnlineStep per window; windows before enough
-    history has accumulated carry activity None.
-    """
-    amp, phase = split_streams(capture)
-    windows = _count_windows(capture, amp, phase)
-    detector = DoorEventDetector()
-    ring = np.empty((ACTIVITY_HISTORY, amp.shape[1]))  # the filtered activity stream
-    timeline = []
-    i = 0
-    while block := list(islice(windows, ONLINE_BLOCK)):
-        heads = window_heads(session.network, block)
-        ends = WINDOW_LEN * np.arange(i + 1, i + 1 + len(block))
-        activities = [None] * len(block)
-        if session.hmm_models:
-            histories = _stream_histories(amp, ends, capture.rate_hz, ring)
-            if len(histories):
-                labels = classify_activity(session.hmm_models, _filtered_features(histories))
-                activities[len(block) - len(labels) :] = labels
-        for end, head, activity in zip(ends.tolist(), heads, activities):
-            event = detector.push(activity)
-            count = amend_and_finetune(session, head[None], event, time_index=i)
-            timeline.append(
-                OnlineStep(i, end, session.event_log[-1].prediction, count, activity, event)
-            )
-            i += 1
-    return timeline
+    """Run the fused online pipeline over one capture: one session.push of
+    it (see there).  A capture shorter than one window is refused."""
+    if capture.n_frames < WINDOW_LEN:
+        raise ValueError(f"capture has {capture.n_frames} frames; needs at least {WINDOW_LEN}")
+    return session.push(capture)

@@ -15,9 +15,16 @@ import numpy as np
 
 BUTTERWORTH_ORDER = 4
 WMA_TAPS = 100
+WMA_BLOCK = 200  # output rows per moving-average matmul: one count window
 PCA_KEEP = 10
 PCA_WARM_STEPS = 6  # (g @ g, QR) steps a warm start may take before eigh
 PCA_DAVIS_KAHAN = 1e-8  # largest residual / gap a warm Ritz pair may have
+
+
+# _WMA_WEIGHTS[i, j]: the weight of a block's input row j (its m - 1 earlier
+# rows first) in its output row i, m - k at lag k = i + m - 1 - j < m
+_LAG = np.arange(WMA_BLOCK)[:, None] + WMA_TAPS - 1 - np.arange(WMA_BLOCK + WMA_TAPS - 1)
+_WMA_WEIGHTS = np.where((_LAG >= 0) & (_LAG < WMA_TAPS), WMA_TAPS - _LAG, 0).astype(np.float64)
 
 
 def _fast_len(n: int) -> int:
@@ -89,7 +96,7 @@ def _warm_span(g: np.ndarray, span: np.ndarray, top: int):
     return None
 
 
-def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP) -> np.ndarray:
+def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP, warm: list | None = None) -> np.ndarray:
     """Drop the dominant component, keep the next `keep`, median filter.
 
     The first principal component concentrates the common-mode variation
@@ -97,13 +104,15 @@ def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP) -> np.ndarray:
     components 2 .. keep+1, each smoothed with a 5-point median filter.
     A (..., n, d) stack is denoised one matrix at a time, centered in one
     reused buffer.  A 2-D matrix and a stack's first take np.linalg.eigh of
-    G, the Gram matrix; a later one iterates from the previous one's top
-    keep + 13 vectors and keeps the Ritz pairs if the top p >= keep + 1 have
-    residual <= 1e-12 * theta_1 and residual / gap to the nearest other Ritz
-    value (Davis-Kahan) < PCA_DAVIS_KAHAN, and ||G||_F^2 - sum(theta^2) +
+    G, the Gram matrix, unless `warm` holds a span: `warm` is a list a
+    caller keeps across calls, left holding the last matrix's span.  A
+    later matrix iterates from the previous one's top keep + 13 vectors and
+    keeps the Ritz pairs if the top p >= keep + 1 have residual <= 1e-12 *
+    theta_1 and residual / gap to the nearest other Ritz value
+    (Davis-Kahan) < PCA_DAVIS_KAHAN, and ||G||_F^2 - sum(theta^2) +
     theta_(p+1)^2 < theta_(keep+1)^2: by interlacing, no eigenvalue outside
-    the span reaches theta_(keep+1).  Else eigh.  A warm component may differ
-    in sign from eigh's; the features are sign-invariant.
+    the span reaches theta_(keep+1).  Else eigh.  A warm component may
+    differ in sign from eigh's; the features are sign-invariant.
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim < 2 or x.shape[-2] < 2:
@@ -111,7 +120,7 @@ def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP) -> np.ndarray:
     n, cols = x.shape[-2:]
     if not 1 <= keep <= cols - 1:
         raise ValueError(f"keep must be in 1..{cols - 1}")
-    h, edges, span = np.empty((n, cols)), np.empty((n + 4, keep)), None
+    h, edges, span = np.empty((n, cols)), np.empty((n + 4, keep)), warm[0] if warm else None
     out = np.empty(x.shape[:-1] + (keep,))
     for x1, out1 in zip(x.reshape(-1, n, cols), out.reshape(-1, n, keep)):
         np.subtract(x1, x1.mean(axis=0), out=h)
@@ -126,28 +135,43 @@ def pca_denoise(matrix: np.ndarray, keep: int = PCA_KEEP) -> np.ndarray:
         lo = np.maximum(np.minimum(a, b), np.minimum(c, d))
         hi = np.minimum(np.maximum(a, b), np.maximum(c, d))
         np.maximum(np.minimum(lo, hi), np.minimum(np.maximum(lo, hi), e), out=out1)
+    if warm is not None:
+        warm[:] = [span]
     return out
 
 
-def weighted_moving_average(series):
+def weighted_moving_average(series, prior=()):
     """Descending-weight moving average along axis 0, over m = WMA_TAPS (100).
 
     Output t averages the m most recent samples with weights m, m-1, .., 1
     (newest heaviest).  Early samples where fewer than m values exist use
     the same descending weights over the available prefix, so the output
-    length equals the input length.
+    length equals the input length.  `prior` holds the rows before series:
+    all of them, or at least the last m - 1.
+
+    An exact causal FIR: each block of WMA_BLOCK rows from series' first is
+    one (WMA_BLOCK x WMA_BLOCK + m - 1) Toeplitz matmul over its rows and
+    the m - 1 before them (zeros before the first ever).  A stream cut at
+    multiples of WMA_BLOCK, each part given the rows before it, therefore
+    gives the same bits as one call over the whole stream.
     """
     x = np.asarray(series, dtype=np.float64)
     m = WMA_TAPS
     shape = x.shape
     x = x.reshape(shape[0], -1)
-    n = x.shape[0]
-    size = _fast_len(n + m - 1)  # long enough that the convolution does not wrap
-    kernel = np.fft.rfft(np.arange(m, 0, -1, dtype=np.float64), size)  # weight m on lag 0
-    num = np.fft.irfft(np.fft.rfft(x, size, axis=0) * kernel[:, None], size, axis=0)[:n]
-    lags = np.minimum(np.arange(n), m - 1)
-    denom = m * (lags + 1) - lags * (lags + 1) / 2.0  # sum of m, m-1, .., m-lags
-    return (num / denom[:, None]).reshape(shape)
+    n, cols = x.shape
+    before = np.reshape(prior, (-1, cols))[-(m - 1) :]
+    ext = np.concatenate([np.zeros((m - 1 - len(before), cols)), before, x])
+    out = np.empty_like(x)
+    for start in range(0, n, WMA_BLOCK):
+        rows = min(WMA_BLOCK, n - start)
+        np.matmul(
+            _WMA_WEIGHTS[:rows, : rows + m - 1], ext[start : start + rows + m - 1],
+            out=out[start : start + rows],
+        )
+    lags = np.minimum(np.arange(len(before), len(before) + n), m - 1)
+    out /= (m * (lags + 1) - lags * (lags + 1) / 2.0)[:, None]  # sum of m, m-1, .., m-lags
+    return out.reshape(shape)
 
 
 def sanitize_phase(phase_matrix: np.ndarray, n_streams: int = 6, n_sub: int = 30) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Count-network training, event-fused sessions, and the online pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,7 +44,7 @@ from csicount.neural import (
     build_fcbp,
     finetune_last_dense,
 )
-from csicount.preprocess import CsiWindow, butterworth_lowpass, pca_denoise
+from csicount.preprocess import CsiWindow, build_count_sample, butterworth_lowpass, pca_denoise
 from csicount.sim import Path, Scene, make_count_scene, simulate_capture
 from csicount.wavelet import feature_matrix_from_components
 
@@ -761,6 +763,107 @@ def test_run_online_window_sees_only_its_own_past(
         assert len(features) == sum(activity is not None for _, _, activity, *_ in steps), k
         for got, ref in zip(features, full_features):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def frames(capture, start, stop, rate_hz=None, geometry=None, shift=0.0):
+    """capture's frames start..stop as a chunk, optionally relabelled."""
+    n_tx, n_rx, n_sub = geometry or (capture.n_tx, capture.n_rx, capture.n_sub)
+    return CsiCapture(
+        capture.values[start:stop], capture.timestamps[start:stop] + shift,
+        rate_hz or capture.rate_hz, n_tx, n_rx, n_sub,
+    )
+
+
+def test_push_in_any_chunking_is_one_session(activity_models, walk_door_capture, monkeypatch):
+    # the chunking changes only the front pass's batch rounding: every chunk
+    # size gives run_online's decisions and windows bit-identical to
+    # count_windows_from_capture's; a chunk the session cannot continue with
+    # is refused before it changes anything
+    monkeypatch.setattr(neural, "FINETUNE_LR", 1.0)
+    _, models = activity_models
+    full = walk_door_capture
+    reference = count_windows_from_capture(full)
+    built = []
+
+    def recording(amp, phase):
+        built.append(build_count_sample(amp, phase))
+        return built[-1]
+
+    monkeypatch.setattr(counting, "build_count_sample", recording)
+    runs = {}
+    for chunk_len in (None, 1, 137, 3200, full.n_frames):
+        built.clear()
+        net = build_cnn_lstm(seed=12)
+        net.layers[net.last_dense].b[:] = [0.0, 2.0, 0.0, 0.0, 0.0]  # predicts 2
+        probs = record_probabilities(net)
+        session = CountSession(net, hmm_models=models, current_count=2)
+        if chunk_len is None:
+            timeline = run_online(session, full)
+        else:
+            timeline = []
+            for start in range(0, full.n_frames, chunk_len):
+                if chunk_len == 137 and start in (137, 2055, 6439):
+                    last = full.timestamps[start - 1]
+                    seen = (session.frames_seen, len(session.event_log), session.current_count)
+                    for bad in (
+                        frames(full, start, start + 137, rate_hz=1000.0),
+                        frames(full, start, start + 137, geometry=(3, 2, 30)),
+                        frames(full, start, start + 137, shift=last - full.timestamps[start]),
+                    ):
+                        with pytest.raises(ValueError):
+                            session.push(bad)
+                        assert (session.frames_seen, len(session.event_log)) == seen[:2]
+                        assert session.current_count == seen[2]
+                timeline += session.push(frames(full, start, start + chunk_len))
+        assert session.frames_seen == full.n_frames
+        assert [w.values.tobytes() for w in built] == [w.values.tobytes() for w in reference]
+        assert [w.column_mean.tobytes() for w in built] == [
+            w.column_mean.tobytes() for w in reference
+        ]
+        runs[chunk_len] = (timeline, [r.action for r in session.event_log], probs)
+
+    timeline, actions, probs = runs.pop(None)
+    assert len(timeline) == full.n_frames // WINDOW_LEN
+    assert "finetune" in actions
+    for chunk_len, (got, got_actions, got_probs) in runs.items():
+        assert got == timeline, chunk_len
+        assert got_actions == actions, chunk_len
+        assert len(got_probs) == len(probs)
+        assert max(np.abs(p - q).max() for p, q in zip(got_probs, probs)) <= 1e-9, chunk_len
+
+
+def test_run_online_takes_one_eigh_per_session(activity_models, walk_door_capture, monkeypatch):
+    # PCA's warm span carries across blocks: only the session's first
+    # history takes a full eigh
+    _, models = activity_models
+    eigh, sizes = np.linalg.eigh, []
+
+    def counted(a):
+        sizes.append(a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    session = CountSession(build_fcbp(seed=0), hmm_models=models)
+    assert len(run_online(session, walk_door_capture)) > 2 * ONLINE_BLOCK
+    assert sizes.count(walk_door_capture.n_streams * walk_door_capture.n_sub) == 1
+
+
+def test_run_online_memory_is_flat_in_capture_length(activity_models, walk_door_capture):
+    # a session transforms one block of windows at a time, so its peak does
+    # not grow with the capture it is pushed
+    _, models = activity_models
+    long = concat_captures([walk_door_capture] * 5)
+    peaks = []
+    for n_frames in (10_000, 40_000):
+        capture = cut(long, n_frames)
+        session = CountSession(build_fcbp(seed=0), hmm_models=models)
+        tracemalloc.start()
+        try:
+            run_online(session, capture)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_batched_activity_branch_matches_one_history_at_a_time(

@@ -12,6 +12,7 @@ from scipy.signal import fftconvolve
 from csicount.capture import split_streams
 from csicount.preprocess import (
     PCA_KEEP,
+    WMA_BLOCK,
     WMA_TAPS,
     _fast_len,
     build_count_sample,
@@ -338,6 +339,33 @@ def test_wma_matches_fftconvolve(n):
     ref = fftconvolve(x, kernel[:, None], mode="full", axes=0)[:n] / denom[:, None]
     out = weighted_moving_average(x)
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_wma_is_as_exact_as_a_long_double_sum():
+    # each output is a 100-term dot product of exact integer weights; an FFT
+    # convolution spreads every output's rounding over the whole series
+    x = 1.0 + 0.3 * np.random.default_rng(0).standard_normal((10_000, 180))
+    ref = np.zeros(x.shape, dtype=np.longdouble)
+    for lag in range(WMA_TAPS):
+        ref[lag:] += (WMA_TAPS - lag) * x[: len(x) - lag].astype(np.longdouble)
+    lags = np.minimum(np.arange(len(x)), WMA_TAPS - 1)
+    ref /= (WMA_TAPS * (lags + 1) - lags * (lags + 1) // 2)[:, None]
+    assert np.abs(weighted_moving_average(x) - ref).max() <= 1e-14
+
+
+def test_wma_of_a_stream_cut_at_blocks_keeps_its_bits():
+    # each part given the rows before it; a part may start inside the first
+    # WMA_TAPS - 1 rows, where the average runs over the prefix
+    x = np.random.default_rng(10).standard_normal((1000, 7))
+    whole = weighted_moving_average(x)
+    for cuts in ((200, 400, 1000), (WMA_BLOCK, 1000), (600, 1000)):
+        parts, start = [], 0
+        for stop in cuts:
+            parts.append(weighted_moving_average(x[start:stop], x[:start]))
+            start = stop
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    tail = weighted_moving_average(x[400:600], x[400 - WMA_TAPS + 1 : 400])
+    assert tail.tobytes() == whole[400:600].tobytes()
 
 
 def test_fast_len_matches_scipy_next_fast_len():
