@@ -11,21 +11,24 @@ fine-tuned — every other parameter stays bitwise identical.
 
 A session is fed frames by CountSession.push, in chunks of any size, and
 carries only causal state between pushes (see CountSession); run_online
-is one push of a whole capture.  The moving average is an exact causal
+is one push of a whole capture.  Both cut windows with one function: one
+moving average over a run of whole windows, given the amplitude rows
+before it, and one phase sanitize.  The moving average is an exact causal
 FIR in blocks of one window, so the windows are bit-identical in any
 chunking and to count_windows_from_capture's.
 
 Because fine-tuning never touches the layers before that final dense
 layer, a window's input to it (its head) is fixed for the whole session.
 push therefore takes up to ONLINE_BLOCK (16) complete windows at a time:
-it splits, smooths and sanitizes their frames, a batched front pass gives
-their heads, and one activity pass scores their stacked histories, cut
-from one causally low-passed stream.  It then amends the windows one by
-one through the final dense layer and softmax alone, so a fine-tune in
-one window still changes the prediction of the next, inside a block too.
-Only the batched rounding and PCA's warm start (features within 1e-9 of
-each window's largest) differ from counting each window alone.  The
-block bounds the memory a push adds, whatever the chunk's length.
+it builds their windows as one run after the session's amplitude tail, a
+batched front pass gives their heads, and one activity pass scores their
+stacked histories, cut from one causally low-passed stream.  It then
+amends the windows one by one through the final dense layer and softmax
+alone, so a fine-tune in one window still changes the prediction of the
+next, inside a block too.  Only the batched rounding and PCA's warm start
+(features within 1e-9 of each window's largest) differ from counting each
+window alone.  The block bounds the memory a push adds, whatever the
+chunk's length.  A push that fails part-way closes the session.
 
 Counts are 1..5, read by _counts from the network's 5 output classes.  A
 session's tracked count may still reach 0 when someone leaves an empty-looking
@@ -236,11 +239,12 @@ class CountSession:
     Only the final dense layer may change during a session (via the
     amendment fine-tune); current_count may be 0 even though the network
     can only express 1..5, and may not exceed 5, so that a door event
-    moves it by at most one.  push feeds it frames; between pushes it
-    carries only causal state: frames_seen, the last max(2 * pad,
-    WMA_TAPS - 1) amplitude rows, the frames of the window not yet
-    complete, the filtered activity ring, the door-event detector and
-    PCA's warm span.
+    moves it by at most one.  A network whose final dense layer and
+    softmax do not give N_CLASSES outputs is refused (ValueError).  push
+    feeds it frames; between pushes it carries only causal state:
+    frames_seen, the last max(2 * pad, WMA_TAPS - 1) amplitude rows, the
+    frames of the window not yet complete, the filtered activity ring, the
+    door-event detector and PCA's warm span.
     """
 
     network: Network
@@ -257,10 +261,13 @@ class CountSession:
         default_factory=DoorEventDetector, init=False, repr=False
     )
     _warm: list = field(default_factory=list, init=False, repr=False)
+    _closed: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.current_count <= N_CLASSES:
             raise ValueError(f"current_count must be in 0..{N_CLASSES}")
+        net = self.network  # refuse a head that cannot give N_CLASSES counts now
+        _counts(net, np.zeros((1, net.layers[net.last_dense].in_dim)), start=net.last_dense)
 
     def push(self, chunk: CsiCapture) -> list:
         """Count the windows that `chunk` completes; one OnlineStep each.
@@ -272,7 +279,11 @@ class CountSession:
         ACTIVITY_HISTORY frames carry activity None.  A chunk must have the
         first chunk's rate and geometry, and its first timestamp must follow
         the last one seen; else ValueError, and the session is unchanged.
+        A push that raises past these checks closes the session: every later
+        push raises ValueError and changes nothing.
         """
+        if self._closed:
+            raise ValueError("the session is closed: an earlier push failed")
         fmt = (chunk.rate_hz, chunk.n_tx, chunk.n_rx, chunk.n_sub)
         if self._format not in (None, fmt):
             raise ValueError(f"chunk has rate and geometry {fmt}; the session has {self._format}")
@@ -288,6 +299,7 @@ class CountSession:
             self._format, self._tail = fmt, np.empty((0, d))
             self._ring = np.empty((ACTIVITY_HISTORY, d))  # the filtered activity stream
             self._held = (chunk.values[:0], chunk.timestamps[:0])
+        self._closed = True  # until this push has counted all it completes
         values, times = self._held
         start, used, steps = self.frames_seen - len(times), 0, []
         while k := min(ONLINE_BLOCK, (len(times) + chunk.n_frames - used) // WINDOW_LEN):
@@ -305,27 +317,17 @@ class CountSession:
         )
         self._last_time = chunk.timestamps[-1]
         self.frames_seen += chunk.n_frames
+        self._closed = False
         return steps
 
     def _count_block(self, block: CsiCapture, start: int) -> list:
         """Count the whole windows of `block`, whose first frame is frame `start`."""
         pad = min(lowpass_pad(block.rate_hz, ACTIVITY_CUTOFF_HZ), ACTIVITY_HISTORY - 1)
         amp, phase = split_streams(block)
+        heads = window_heads(self.network, _count_windows(amp, phase, self._tail, block))
         amp = np.concatenate([self._tail, amp])
         base = start - len(self._tail)  # the frame of amp's first row
         ends = np.arange(start + WINDOW_LEN, start + block.n_frames + 1, WINDOW_LEN)
-        heads = window_heads(
-            self.network,
-            [
-                _count_window(
-                    amp[max(end - WINDOW_LEN - WMA_TAPS + 1, 0) - base : end - base],
-                    phase[end - WINDOW_LEN - start : end - start],
-                    block.n_streams,
-                    block.n_sub,
-                )
-                for end in ends
-            ],
-        )
         activities = [None] * len(ends)
         if self.hmm_models:
             histories = _stream_histories(amp, base, ends, block.rate_hz, pad, self._ring)
@@ -391,32 +393,27 @@ def amend_and_finetune(
     return expected
 
 
-def _count_window(amp: np.ndarray, phase: np.ndarray, n_streams: int, n_sub: int) -> CsiWindow:
-    """One standardized count window from the phase of its WINDOW_LEN frames
-    and their amplitude after the rows before them (all, or the last
-    WMA_TAPS - 1): amplitude smoothed by the causal moving average, phase
-    sanitized per frame."""
-    return build_count_sample(
-        weighted_moving_average(amp[-WINDOW_LEN:], amp[:-WINDOW_LEN]),
-        sanitize_phase(phase, n_streams, n_sub),
-    )
+def _count_windows(amp: np.ndarray, phase: np.ndarray, prior, capture: CsiCapture) -> list:
+    """The standardized count windows of a run of whole WINDOW_LEN-frame
+    windows, split from `capture`'s frames: one causal moving average of the
+    amplitude after `prior`, the rows before it (see weighted_moving_average),
+    and one phase sanitize, cut into windows."""
+    smooth = weighted_moving_average(amp, prior)
+    clean = sanitize_phase(phase, capture.n_streams, capture.n_sub)
+    return [
+        build_count_sample(smooth[i : i + WINDOW_LEN], clean[i : i + WINDOW_LEN])
+        for i in range(0, len(amp), WINDOW_LEN)
+    ]
 
 
 def count_windows_from_capture(capture: CsiCapture) -> list:
     """Cut a capture into standardized non-overlapping count windows, the
     windows CountSession.push builds from the same frames."""
-    amp, phase = split_streams(capture)
     if capture.n_frames < WINDOW_LEN:
         raise ValueError(f"capture has {capture.n_frames} frames; needs at least {WINDOW_LEN}")
-    return [
-        _count_window(
-            amp[max(start - WMA_TAPS + 1, 0) : start + WINDOW_LEN],
-            phase[start : start + WINDOW_LEN],
-            capture.n_streams,
-            capture.n_sub,
-        )
-        for start in range(0, capture.n_frames - WINDOW_LEN + 1, WINDOW_LEN)
-    ]
+    n = capture.n_frames - capture.n_frames % WINDOW_LEN
+    amp, phase = split_streams(capture)
+    return _count_windows(amp[:n], phase[:n], (), capture)
 
 
 def activity_features(amplitude: np.ndarray, rate_hz: float) -> np.ndarray:

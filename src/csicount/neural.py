@@ -590,10 +590,10 @@ class Network:
         return loss, probs
 
     def sgd_step(self, lr: float) -> None:
-        """theta <- theta - lr * grad, then clear the gradients."""
+        """theta <- theta - lr * grad.  The gradients are kept; the next
+        loss_and_gradients clears them."""
         for _, value, grad in self.params():
             value -= lr * grad
-            grad[...] = 0.0
 
     def get_param_vector(self) -> np.ndarray:
         return np.concatenate([v.ravel() for _, v, _ in self.params()] or [np.zeros(0)])

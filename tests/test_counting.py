@@ -242,16 +242,16 @@ def test_untrained_network_sits_at_chance():
 
 def test_counts_are_read_only_from_five_output_classes():
     # a 7-unit last dense layer once read as counts 6 and 7 (an IndexError in
-    # evaluate), and a network with no layers as one of its 360 inputs
+    # evaluate), and a network with no layers as one of its 360 inputs; a
+    # session refuses either before it is fed a frame
     ds = Dataset([(summary_window(np.random.default_rng(5)), 1)])
-    cap = simulate_capture(make_count_scene(1, seed=3), 400 / 1500.0, seed=3)
     wide = neural.Network([Dense(360, 7), neural.Softmax()], input_kind="summary")
     layerless = neural.Network([], input_kind="summary")
     for net, online_error in ((wide, "not 5 counts"), (layerless, "no dense layer")):
         with pytest.raises(ValueError, match="not 5 counts"):
             evaluate(net, ds)
         with pytest.raises(ValueError, match=online_error):
-            run_online(CountSession(net), cap)
+            CountSession(net)
 
 
 # --------------------------------------------------- prediction and amending
@@ -334,8 +334,8 @@ def test_front_layers_run_once_per_online_block():
     for n in (net, ref):
         n.layers[n.last_dense].b[:] = [0.0, 0.0, 0.0, 0.0, 9.0]  # predicts 5
     head = window_heads(net, [window])
+    session = CountSession(net, current_count=1)  # its own check runs the head once
     calls = count_layer_calls(net)
-    session = CountSession(net, current_count=1)
     assert amend_and_finetune(session, head, DoorEvent("enter", 0)) == 2
     assert session.event_log[-1].action == "finetune"
     last = net.last_dense  # the head runs once, and once per step
@@ -348,9 +348,9 @@ def test_front_layers_run_once_per_online_block():
     # run_online runs each front layer once per block of windows
     rng = np.random.default_rng(3)
     for n_windows in (1, ONLINE_BLOCK - 1, ONLINE_BLOCK, ONLINE_BLOCK + 1, 2 * ONLINE_BLOCK + 1):
-        net = build_fcbp(seed=8)
+        session = CountSession(net := build_fcbp(seed=8))
         calls = count_layer_calls(net)
-        assert len(run_online(CountSession(net), random_capture(rng, 200 * n_windows))) == n_windows
+        assert len(run_online(session, random_capture(rng, 200 * n_windows))) == n_windows
         blocks = -(-n_windows // ONLINE_BLOCK)
         last = net.last_dense  # no activity models: no event, no fine-tune
         assert calls == [blocks] * last + [n_windows] * (len(net.layers) - last), n_windows
@@ -480,37 +480,51 @@ def test_session_invariants_under_random_activity_scripts(monkeypatch):
     events = {"enter": 0, "leave": 0}
     tuned = 0
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        # runs of one label, 1-5 windows long: door runs of 3 or more fire
-        script = iter(
-            label
-            for _ in range(40)
-            for label in [SCRIPT_LABELS[rng.integers(4)]] * int(rng.integers(1, 6))
-        )
-        monkeypatch.setattr(
-            counting, "classify_activity", lambda models, stack: [next(script) for _ in stack]
-        )
-        net = build_fcbp(seed=seed)
-        snapshot = param_snapshot(net)
-        start = int(rng.integers(0, 6))
-        session = CountSession(net, hmm_models={ActivityLabel.WALKING: model}, current_count=start)
-        timeline = run_online(session, cap)
-        assert len(timeline) == 30
-        before = start
-        for step in timeline:
-            assert 0 <= step.count <= 5
-            if step.event is None:
-                assert step.count == step.prediction
-            elif step.event.kind == "enter":
-                assert step.count == min(before + 1, 5)
+        timelines = []
+        # the same script through run_online, then pushed in random chunks
+        for sizes in (None, np.random.default_rng(100 + seed)):
+            rng = np.random.default_rng(seed)
+            # runs of one label, 1-5 windows long: door runs of 3 or more fire
+            script = iter(
+                label
+                for _ in range(40)
+                for label in [SCRIPT_LABELS[rng.integers(4)]] * int(rng.integers(1, 6))
+            )
+            monkeypatch.setattr(
+                counting, "classify_activity", lambda models, stack: [next(script) for _ in stack]
+            )
+            net = build_fcbp(seed=seed)
+            snapshot = param_snapshot(net)
+            start = int(rng.integers(0, 6))
+            session = CountSession(
+                net, hmm_models={ActivityLabel.WALKING: model}, current_count=start
+            )
+            if sizes is None:
+                timeline = run_online(session, cap)
             else:
-                assert step.count == max(before - 1, 0)
-            if step.event is not None:
-                events[step.event.kind] += 1
-            before = step.count
-        tuned += sum(r.action == "finetune" for r in session.event_log)
-        final = {f"layer{net.last_dense}.W", f"layer{net.last_dense}.b"}
-        assert changed_params(net, snapshot) <= final
+                timeline, at = [], 0
+                while at < cap.n_frames:
+                    n = int(sizes.integers(1, 601))
+                    timeline += session.push(frames(cap, at, at + n))
+                    at += n
+            assert len(timeline) == 30
+            before = start
+            for step in timeline:
+                assert 0 <= step.count <= 5
+                if step.event is None:
+                    assert step.count == step.prediction
+                elif step.event.kind == "enter":
+                    assert step.count == min(before + 1, 5)
+                else:
+                    assert step.count == max(before - 1, 0)
+                if step.event is not None:
+                    events[step.event.kind] += 1
+                before = step.count
+            tuned += sum(r.action == "finetune" for r in session.event_log)
+            final = {f"layer{net.last_dense}.W", f"layer{net.last_dense}.b"}
+            assert changed_params(net, snapshot) <= final
+            timelines.append(timeline)
+        assert timelines[0] == timelines[1], seed
     assert events["enter"] > 0 and events["leave"] > 0 and tuned > 0
 
 
@@ -830,6 +844,36 @@ def test_push_in_any_chunking_is_one_session(activity_models, walk_door_capture,
         assert got_actions == actions, chunk_len
         assert len(got_probs) == len(probs)
         assert max(np.abs(p - q).max() for p, q in zip(got_probs, probs)) <= 1e-9, chunk_len
+
+
+def test_a_failed_push_closes_the_session(monkeypatch):
+    # a push that fails in its second block has counted the first block's
+    # windows; it closes the session, so no later push counts them again
+    calls = []
+
+    def failing(models, stack):
+        calls.append(len(stack))
+        if len(calls) == 2:
+            raise RuntimeError("scoring failed")
+        return [ActivityLabel.WALKING] * len(stack)
+
+    monkeypatch.setattr(counting, "classify_activity", failing)
+    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)))  # never scored
+    cap = random_capture(np.random.default_rng(41), 2 * ONLINE_BLOCK * WINDOW_LEN)
+    net = build_fcbp(seed=0)
+    session = CountSession(net, hmm_models={ActivityLabel.WALKING: model}, current_count=1)
+    with pytest.raises(RuntimeError, match="scoring failed"):
+        session.push(cap)
+    assert len(calls) == 2 and len(session.event_log) == ONLINE_BLOCK
+    seen = (session.frames_seen, len(session.event_log), session.current_count)
+    snapshot = param_snapshot(net)
+    later = cap.timestamps[-1] + 1.0
+    for chunk in (cap, frames(cap, 0, 0), frames(cap, 0, WINDOW_LEN, shift=later)):
+        with pytest.raises(ValueError, match="closed"):
+            session.push(chunk)
+        assert (session.frames_seen, len(session.event_log), session.current_count) == seen
+        assert changed_params(net, snapshot) == set()
+    assert len(calls) == 2
 
 
 def test_run_online_takes_one_eigh_per_session(activity_models, walk_door_capture, monkeypatch):
