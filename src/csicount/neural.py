@@ -27,11 +27,16 @@ whose block output shapes on a 200 x 360 window are 200x64, 98x30x6,
 32x10x10, 3200, 1000, 200, 5.  The fully-connected baseline takes the
 per-column window means (a 360-vector) through dense 300 -> 100 -> 5.
 
-Convolutions are lowered to matrix products by row bands rather than
-im2col patches: each output row reads one contiguous copy of the kh input
-rows under it, so the cached lowering is kh * w * in values per output row
-(about 32 MB for the 200 x 64 conv of the counting network at batch 64)
-instead of kh * kw * in per output pixel (about 150 MB).  See Conv2d.
+Convolutions are lowered to matrix products by tiles of output columns
+rather than im2col patches: the T output columns of a tile read one
+contiguous copy of the kh x ((T - 1) * stride + kw) input patch under
+them, so the cached lowering is kh * ((T - 1) * stride + kw) * in values
+per T output pixels (about 36 MB for the 200 x 64 conv of the counting
+network at batch 64, where T = 20) instead of kh * kw * in per output
+pixel (about 150 MB), and every tile shares one small band of filters.
+A max-pool keeps only the index of each window's winner, and one that
+follows a ReLU conv applies that conv's mask for it.  See Conv2d and
+MaxPool2d.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ CHECKPOINT_VERSION = 1
 _HEAD = struct.Struct("<4sHI")  # magic, version, architecture length
 
 PROB_CLAMP = 1e-12
+_TILE_COLS = 24  # input columns one Conv2d tile may read
 FINETUNE_LR = 0.01  # the online amendment's fine-tune of the last dense layer
 FINETUNE_STEPS = 5
 
@@ -255,22 +261,33 @@ class Conv2d(Layer):
     Input (batch, h, w, in_channels); filters (kh, kw, in, out) applied at
     the given stride in both directions.
 
-    The convolution is lowered by row bands: the kh input rows under each
-    output row are copied into one contiguous row of a
-    (batch * ho, kh * w * in) matrix, which is multiplied by a banded
-    (kh * w * in, wo * out) filter matrix whose column block j holds W at
-    input columns j * stride .. j * stride + kw - 1 and zeros elsewhere.
-    The band is rebuilt from W on every call.  Backward is two matrix
-    products: rows^T dz gives the band gradient, whose kw diagonals are
-    summed into dW, and dz band^T gives the row gradient, added back into
-    dx with kh strided row adds.  Between forward and backward the layer
-    holds the row matrix (8 * batch * ho * kh * w * in bytes, about 32 MB
-    for conv1 of the counting network at batch 64) and a reference to its
-    own output, from which the ReLU mask is read.
+    The convolution is lowered by tiles of output columns.  A tile is T
+    adjacent output columns of one output row; it reads the kh input rows
+    under that row and wt = (T - 1) * stride + kw input columns, which are
+    copied into one contiguous row of a (batch * ho * wo / T, kh * wt * in)
+    matrix.  Every tile shares one (kh * wt * in, T * out) band, whose
+    column block t holds W at tile columns t * stride .. t * stride + kw - 1
+    and zeros elsewhere, so one matrix product gives the whole output.  T
+    is the largest divisor of wo whose tile reads at most _TILE_COLS input
+    columns (20 for conv1 of the counting network, 5 for conv2).  A band
+    over the whole row would be mostly zeros (92% for conv1); tiles copy
+    the (kw - stride) input columns that neighbouring tiles share twice,
+    and multiply far fewer zeros.  The band is rebuilt from W on every
+    call.  Backward is two matrix products: rows^T dz gives the band
+    gradient, whose T blocks are summed into dW, and dz band^T gives the
+    tile gradient, added back into dx with one strided add per kernel row
+    and tile, so that overlapping tile spans accumulate.  Between forward
+    and backward the layer holds the tile matrix (8 * batch * ho * (wo / T)
+    * kh * wt * in bytes, about 36 MB for conv1 of the counting network at
+    batch 64) and, under ReLU, its own output, from which the mask is read.
+    When a Network places a MaxPool2d right after a ReLU conv, the pool
+    applies that mask (see MaxPool2d), and the conv neither keeps its
+    output nor masks its gradient.
     """
 
     kind = "conv2d"
     fields = ("in_channels", "out_channels", "kh", "kw", "stride", "activation")
+    _masked_by_pool = False  # set by Network when a MaxPool2d follows
 
     def __init__(self, in_channels, out_channels, kh, kw, stride=1, activation="relu"):
         if activation not in ("relu", "linear"):
@@ -286,52 +303,62 @@ class Conv2d(Layer):
         kh, kw, c, f = self.kh, self.kw, self.in_channels, self.out_channels
         return {"W": ((kh, kw, c, f), kh * kw * c), "b": ((f,), None)}
 
-    def _diagonals(self, wo: int):
-        """For each kernel column dj, the (input column, output column)
-        pairs of the (kh, w, in, wo, out) band that hold W[:, dj]."""
-        cols = np.arange(wo)
-        return [(cols * self.stride + dj, cols) for dj in range(self.kw)]
+    def _tile(self, wo: int) -> int:
+        """Output columns per tile: the largest divisor of wo whose tile
+        reads at most _TILE_COLS input columns (1 if none does)."""
+        s, kw = self.stride, self.kw
+        return max(
+            (t for t in range(1, wo + 1) if wo % t == 0 and (t - 1) * s + kw <= _TILE_COLS),
+            default=1,
+        )
 
     def forward(self, x, training):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise self._bad_shape(x, f"(batch, h, w, {self.in_channels})")
         b, h, w, c = x.shape
-        if h < self.kh or w < self.kw:
-            raise self._bad_shape(x, f"at least {self.kh} x {self.kw} spatially")
-        s, f = self.stride, self.out_channels
-        ho = (h - self.kh) // s + 1
-        wo = (w - self.kw) // s + 1
-        bands = sliding_window_view(x, self.kh, axis=1)[:, ::s]  # (b, ho, w, c, kh)
-        rows = np.ascontiguousarray(bands.transpose(0, 1, 4, 2, 3)).reshape(
-            b * ho, self.kh * w * c
+        kh, kw, s, f = self.kh, self.kw, self.stride, self.out_channels
+        if h < kh or w < kw:
+            raise self._bad_shape(x, f"at least {kh} x {kw} spatially")
+        ho = (h - kh) // s + 1
+        wo = (w - kw) // s + 1
+        t = self._tile(wo)
+        wt = (t - 1) * s + kw
+        tiles = sliding_window_view(x, (kh, wt), axis=(1, 2))[:, ::s, :: t * s]
+        rows = np.ascontiguousarray(tiles.transpose(0, 1, 2, 4, 5, 3)).reshape(
+            b * ho * (wo // t), kh * wt * c
         )
-        band = np.zeros((self.kh, w, c, wo, f))
-        for dj, (wi, wj) in enumerate(self._diagonals(wo)):
-            band[:, wi, :, wj, :] = self.W[:, dj]
-        out = rows @ band.reshape(self.kh * w * c, wo * f)
-        out += np.tile(self.b, wo)
-        if self.activation == "relu":
+        band = np.zeros((kh, wt, c, t, f))
+        for j in range(t):
+            band[:, j * s : j * s + kw, :, j] = self.W
+        out = rows @ band.reshape(kh * wt * c, t * f)
+        out += np.tile(self.b, t)
+        relu = self.activation == "relu"
+        if relu:
             np.maximum(out, 0.0, out=out)
         out = out.reshape(b, ho, wo, f)
-        self._cache = (rows, band, x.shape, out)
+        self._cache = (rows, band, x.shape, out if relu and not self._masked_by_pool else None)
         return out
 
     def backward(self, dout, need_dx=True):
         rows, band, x_shape, out = self._cache
-        b, h, w, c = x_shape
-        _, ho, wo, f = dout.shape
-        s, kh = self.stride, self.kh
-        dz = dout * (out > 0) if self.activation == "relu" else dout
-        dz_flat = dz.reshape(b * ho, wo * f)
-        dband = (rows.T @ dz_flat).reshape(band.shape)
-        for dj, (wi, wj) in enumerate(self._diagonals(wo)):
-            self.dW[:, dj] += dband[:, wi, :, wj, :].sum(axis=0)
-        self.db += dz_flat.sum(axis=0).reshape(wo, f).sum(axis=0)
-        drows = (dz_flat @ band.reshape(kh * w * c, wo * f).T).reshape(b, ho, kh, w, c)
+        self._cache = None
+        kh, wt, c, t, f = band.shape
+        b, ho, wo, _ = dout.shape
+        s, kw, nt = self.stride, self.kw, wo // t
+        dz = dout * (out > 0) if out is not None else dout
+        dz_tiles = dz.reshape(b * ho * nt, t * f)
+        dband = (rows.T @ dz_tiles).reshape(band.shape)
+        for j in range(t):
+            self.dW += dband[:, j * s : j * s + kw, :, j]
+        self.db += dz_tiles.sum(axis=0).reshape(t, f).sum(axis=0)
+        if not need_dx:
+            return None
+        dtiles = (dz_tiles @ band.reshape(kh * wt * c, t * f).T).reshape(b, ho, nt, kh, wt, c)
         dx = np.zeros(x_shape)
         for di in range(kh):
-            dx[:, di : di + s * ho : s] += drows[:, :, di]
-        self._cache = None
+            dst = dx[:, di : di + s * ho : s]
+            for j in range(nt):
+                dst[:, :, j * t * s : j * t * s + wt] += dtiles[:, :, j, di]
         return dx
 
 
@@ -339,13 +366,22 @@ class MaxPool2d(Layer):
     """Non-overlapping max pooling (stride = window size).
 
     Requires spatial dimensions divisible by the size.  Forward folds the
-    size * size strided slices of the input with np.maximum; backward
-    routes each gradient to the first maximal element of its window in
-    row-major window order, found by one equality pass per slice.
+    size * size strided slices of the input with np.maximum and records,
+    in one array the size of the output (uint8 for sizes up to 15), the
+    index of the slice that holds each window's first maximum in
+    row-major window order: a slice takes over only where it is strictly
+    greater.  Backward writes each slice of the input gradient once, the
+    output gradient where the slice is the winner and +0.0 elsewhere.
+
+    When a Network places the pool right after a ReLU Conv2d, windows whose
+    maximum is <= 0 route their gradient nowhere: that is the conv's ReLU
+    mask, which then needs no pass of its own (ReLU zeroes exactly where
+    the winning output is 0).  A pool on its own routes every window.
     """
 
     kind = "maxpool2d"
     fields = ("size",)
+    _relu_input = False  # set by Network when a ReLU Conv2d precedes
 
     def __init__(self, size: int = 2):
         if size < 1:
@@ -365,24 +401,30 @@ class MaxPool2d(Layer):
             raise self._bad_shape(x, f"spatial dims divisible by {s}")
         first, *rest = self._slices()
         out = x[first].copy()
-        for sl in rest:
+        # each window's winning slice; s * s, past every real one, routes nowhere
+        index = np.min_scalar_type(s * s).type
+        winner = np.zeros(out.shape, dtype=index)
+        # k only grows from slice to slice, so a max sets it where the slice
+        # wins, without a masked (branching) store
+        for k, sl in enumerate(rest, 1):
+            np.maximum(winner, (x[sl] > out) * index(k), out=winner)
             np.maximum(out, x[sl], out=out)
-        self._cache = (x, out)
+        if self._relu_input:
+            np.maximum(winner, (out <= 0.0) * index(s * s), out=winner)
+        self._cache = (x.shape, winner)
         return out
 
     def backward(self, dout, need_dx=True):
-        x, out = self._cache
-        dx = np.empty(x.shape)
-        free = np.ones(out.shape, dtype=bool)
-        # the gradient's bit patterns times the 0/1 mask: an exact copy where
-        # hit and +0.0 elsewhere, as np.where gives, in one strided pass
-        bits = np.asarray(dout, dtype=np.float64).view(np.uint64)
-        for sl in self._slices():
-            hit = x[sl] == out
-            hit &= free
-            np.multiply(bits, hit, out=dx[sl].view(np.uint64))
-            free ^= hit
+        x_shape, winner = self._cache
         self._cache = None
+        if not need_dx:
+            return None
+        dx = np.empty(x_shape)
+        # the gradient's bit patterns times the 0/1 mask: an exact copy where
+        # the slice wins and +0.0 elsewhere, in one strided pass
+        bits = np.asarray(dout, dtype=np.float64).view(np.uint64)
+        for k, sl in enumerate(self._slices()):
+            np.multiply(bits, winner == k, out=dx[sl].view(np.uint64))
         return dx
 
 
@@ -532,6 +574,11 @@ class Network:
         self.rng = np.random.default_rng(seed)
         for layer in self.layers:
             layer.initialize(self.rng)
+        # a pool right after a ReLU conv applies the conv's mask (see MaxPool2d)
+        for conv, pool in zip(self.layers, self.layers[1:]):
+            if isinstance(conv, Conv2d) and isinstance(pool, MaxPool2d):
+                if conv.activation == "relu":
+                    conv._masked_by_pool = pool._relu_input = True
 
     def forward(self, x, training=False, start=0, stop=None, keep_cache=True) -> np.ndarray:
         """Run layers[start:stop] (the whole stack by default) on x.

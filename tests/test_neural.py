@@ -177,7 +177,8 @@ def test_conv_matches_brute_force():
 
 
 def conv_reference(conv, x, dout):
-    """Forward output and (dx, dW, db) of a conv by nested loops (oracle)."""
+    """Forward output and (dx, dW, db) of a conv by loops over the output
+    pixels, each a dot product of its input patch with the filters (oracle)."""
     n, h, w, c = x.shape
     kh, kw, s = conv.kh, conv.kw, conv.stride
     ho, wo = (h - kh) // s + 1, (w - kw) // s + 1
@@ -185,13 +186,8 @@ def conv_reference(conv, x, dout):
     for b in range(n):
         for i in range(ho):
             for j in range(wo):
-                for f in range(conv.out_channels):
-                    acc = conv.b[f]
-                    for di in range(kh):
-                        for dj in range(kw):
-                            for ch in range(c):
-                                acc += x[b, i * s + di, j * s + dj, ch] * conv.W[di, dj, ch, f]
-                    z[b, i, j, f] = acc
+                patch = x[b, i * s : i * s + kh, j * s : j * s + kw]
+                z[b, i, j] = np.tensordot(patch, conv.W, axes=3) + conv.b
     relu = conv.activation == "relu"
     out = np.maximum(z, 0.0) if relu else z
     dz = np.where(z > 0, dout, 0.0) if relu else dout
@@ -201,14 +197,10 @@ def conv_reference(conv, x, dout):
     for b in range(n):
         for i in range(ho):
             for j in range(wo):
-                for f in range(conv.out_channels):
-                    g = dz[b, i, j, f]
-                    db[f] += g
-                    for di in range(kh):
-                        for dj in range(kw):
-                            for ch in range(c):
-                                dW[di, dj, ch, f] += x[b, i * s + di, j * s + dj, ch] * g
-                                dx[b, i * s + di, j * s + dj, ch] += conv.W[di, dj, ch, f] * g
+                g = dz[b, i, j]
+                db += g
+                dW += x[b, i * s : i * s + kh, j * s : j * s + kw, :, None] * g
+                dx[b, i * s : i * s + kh, j * s : j * s + kw] += conv.W @ g
     return out, dx, dW, db
 
 
@@ -225,6 +217,16 @@ def conv_reference(conv, x, dout):
         (Conv2d(2, 3, 1, 2, stride=2, activation="linear"), (2, 5, 6, 2)),
         (Conv2d(2, 3, 4, 2, stride=1, activation="relu"), (2, 4, 7, 2)),
         (Conv2d(2, 3, 5, 3, stride=2, activation="linear"), (3, 5, 8, 2)),
+        # several tiles whose input spans overlap: stride 1 with kw 5 (two
+        # tiles of 20 columns, 4 shared), and stride 3 with kw 5 over two
+        # channels (two tiles of 7 columns, 2 shared); then one tile that
+        # covers every output column, with its last input column unread
+        (Conv2d(1, 2, 3, 5, stride=1, activation="relu"), (2, 6, 44, 1)),
+        (Conv2d(2, 3, 3, 5, stride=3, activation="relu"), (2, 7, 44, 2)),
+        (Conv2d(2, 3, 2, 3, stride=2, activation="linear"), (2, 6, 14, 2)),
+        # the counting network's two convs on its own shapes
+        (Conv2d(1, 6, 5, 5, stride=1, activation="relu"), (2, 200, 64, 1)),
+        (Conv2d(6, 10, 5, 3, stride=3, activation="relu"), (2, 98, 30, 6)),
     ],
 )
 def test_conv_forward_and_gradients_match_nested_loops(conv, x_shape):
@@ -241,10 +243,25 @@ def test_conv_forward_and_gradients_match_nested_loops(conv, x_shape):
     if conv.activation == "relu":
         assert (ref_out == 0).any() and (ref_out > 0).any()
     assert out.shape == ref_out.shape
-    assert np.max(np.abs(out - ref_out)) < 1e-12
-    assert np.max(np.abs(dx - ref_dx)) < 1e-12
-    assert np.max(np.abs(conv.dW - ref_dW)) < 1e-12
-    assert np.max(np.abs(conv.db - ref_db)) < 1e-12
+    # 1e-12, or 2e-14 of the largest value where sums over the counting
+    # shapes' thousands of terms reach the hundreds
+    for got, ref in ((out, ref_out), (dx, ref_dx), (conv.dW, ref_dW), (conv.db, ref_db)):
+        assert np.max(np.abs(got - ref)) < max(1e-12, 2e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "conv, wo, tile",
+    [
+        (Conv2d(1, 6, 5, 5, stride=1), 60, 20),  # the counting network's conv1
+        (Conv2d(6, 10, 5, 3, stride=3), 10, 5),  # and conv2
+        (Conv2d(1, 2, 3, 5, stride=1), 40, 20),
+        (Conv2d(2, 3, 3, 5, stride=3), 14, 7),
+        (Conv2d(2, 3, 2, 3, stride=2), 6, 6),
+        (Conv2d(1, 1, 1, 30, stride=1), 5, 1),  # a kernel wider than any tile
+    ],
+)
+def test_conv_tile_is_the_largest_divisor_reading_at_most_24_columns(conv, wo, tile):
+    assert conv._tile(wo) == tile
 
 
 @pytest.mark.parametrize("size", [2, 3])
@@ -279,6 +296,73 @@ def test_maxpool_routes_gradient_to_first_maximum_on_ties(size):
     assert dx.tobytes() == ref_dx.tobytes()
     # the all-7 window of item 0 passes its whole gradient to its corner
     assert np.flatnonzero(dx[0, :size, :size, 0]).tolist() == [0]
+
+
+def test_pool_after_a_relu_conv_applies_the_conv_mask():
+    # a Network wires a ReLU conv to the pool after it: the pool routes a
+    # window whose maximum is 0 nowhere and the conv masks nothing, which
+    # gives the values of pool backward, then * (out > 0), then the conv
+    rng = np.random.default_rng(41)
+    fused = Network([Conv2d(1, 2, 2, 2, activation="relu"), MaxPool2d(2)], seed=42)
+    conv, pool = fused.layers
+    conv.b[:] = [2.0, -3.0]  # channel 1 is mostly rectified to 0
+    alone_conv = Conv2d(1, 2, 2, 2, activation="relu")
+    alone_conv.initialize(rng)
+    alone_conv.W[...], alone_conv.b[...] = conv.W, conv.b
+    alone_pool = MaxPool2d(2)
+    x = rng.standard_normal((2, 9, 9, 1))
+    x[0, :5, :5] = 1.0  # constant input: positive ties across whole windows
+
+    out = conv.forward(x, True)
+    pooled = pool.forward(out, True)
+    windows = out.reshape(2, 4, 2, 4, 2, 2).transpose(0, 1, 3, 5, 2, 4).reshape(2, 4, 4, 2, 4)
+    assert (windows.max(axis=-1) == 0.0).any()
+    assert ((windows == windows.max(axis=-1, keepdims=True)).sum(axis=-1) == 4)[
+        windows.max(axis=-1) > 0
+    ].any()
+    dout = rng.standard_normal(pooled.shape)
+    dpool = pool.backward(dout)
+    dx = conv.backward(dpool)
+
+    alone_out = alone_conv.forward(x, True)
+    assert alone_pool.forward(alone_out, True).tobytes() == pooled.tobytes()
+    ref_dpool = alone_pool.backward(dout)
+    assert np.array_equal(dpool, ref_dpool * (alone_out > 0))
+    ref_dx = alone_conv.backward(ref_dpool)
+    assert np.array_equal(dx, ref_dx)
+    assert np.array_equal(conv.dW, alone_conv.dW)
+    assert np.array_equal(conv.db, alone_conv.db)
+
+
+def test_loaded_network_keeps_the_pool_mask_and_its_gradient_bytes(tmp_path):
+    net = build_cnn_lstm_toy(seed=43)
+    save_network(net, tmp_path / "net.csnn")
+    back = load_network(tmp_path / "net.csnn")
+    for loaded in (net, back):
+        conv, pool = loaded.layers[3:5]
+        assert conv._masked_by_pool and pool._relu_input
+        loaded.loss_and_gradients(TOY_X, TOY_LABELS, training=False)
+    for (name, _, g), (_, _, ref) in zip(back.params(), net.params()):
+        assert g.tobytes() == ref.tobytes(), name
+
+
+def test_conv_and_pool_skip_their_input_gradient_on_request():
+    rng = np.random.default_rng(44)
+    conv = Conv2d(2, 3, 3, 5, stride=1, activation="relu")  # two overlapping tiles
+    conv.initialize(rng)
+    x = rng.standard_normal((2, 6, 44, 2))
+    dout = rng.standard_normal(conv.forward(x, True).shape)
+    assert conv.backward(dout).shape == x.shape
+    grads = conv.dW.tobytes(), conv.db.tobytes()
+    conv.dW[...] = 0.0
+    conv.db[...] = 0.0
+    conv.forward(x, True)
+    assert conv.backward(dout, need_dx=False) is None
+    assert (conv.dW.tobytes(), conv.db.tobytes()) == grads
+
+    pool = MaxPool2d(2)
+    pooled = pool.forward(x, True)
+    assert pool.backward(np.ones_like(pooled), need_dx=False) is None
 
 
 def test_conv_relu_clamps_negatives():
