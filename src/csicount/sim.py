@@ -11,6 +11,11 @@ which beats the received amplitude at 2 v / lambda Hz against the static
 paths.  Per-stream delay steps model antenna spacing: stream s adds
 s * stream_delay_step to the path delay, decorrelating the six streams.
 
+Each path is a constant a_k exp(-2 pi i f (tau_k(0) + s step_k)) per stream
+and subcarrier (180 exponentials) times, for a mover, a drift
+exp(-2 pi i f 2 v_k t / c) per frame and subcarrier (30 per frame), added
+FRAME_BLOCK frames at a time so that the response is the only full array.
+
 Subcarrier j (0-based, n_sub total) sits at
 
     f_j = carrier_hz + (j - (n_sub - 1) / 2) * subcarrier_spacing_hz
@@ -29,6 +34,7 @@ import numpy as np
 from .capture import CsiCapture
 
 C_LIGHT = 299_792_458.0
+FRAME_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,12 @@ class Path:
     stream_delay_step: float = 0.0
 
     def __post_init__(self):
-        if abs(self.attenuation) == 0:
-            raise ValueError("path attenuation must be non-zero")
-        if self.initial_delay < 0:
-            raise ValueError("path delay must be non-negative")
+        if not 0 < abs(self.attenuation) < np.inf:
+            raise ValueError("path attenuation must be non-zero and finite")
+        if not 0 <= self.initial_delay < np.inf:
+            raise ValueError("path delay must be non-negative and finite")
+        if not np.isfinite([self.velocity, self.stream_delay_step]).all():
+            raise ValueError("path velocity and stream step must be finite")
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,10 @@ class Scene:
             raise ValueError("a scene needs at least one static path")
         if len(self.persons) > 10:
             raise ValueError("at most 10 persons are supported")
-        if self.carrier_hz <= 0 or self.subcarrier_spacing_hz <= 0:
-            raise ValueError("carrier and subcarrier spacing must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not (0 < self.carrier_hz < np.inf and 0 < self.subcarrier_spacing_hz < np.inf):
+            raise ValueError("carrier and subcarrier spacing must be positive and finite")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be non-negative and finite")
 
     @property
     def n_persons(self) -> int:
@@ -133,15 +141,21 @@ def simulate_capture(
 
     h = np.zeros((n_frames, streams.size, freqs.size), dtype=np.complex128)
     for path in chain(scene.static_paths, *scene.persons):
-        tau_t = path.initial_delay + 2.0 * path.velocity * t / C_LIGHT
-        tau = tau_t[:, None] + streams[None, :] * path.stream_delay_step
-        h += path.attenuation * np.exp(-2j * np.pi * tau[:, :, None] * freqs[None, None, :])
+        tau = path.initial_delay + streams * path.stream_delay_step
+        const = path.attenuation * np.exp(-2j * np.pi * tau[:, None] * freqs)
+        if path.velocity == 0:
+            h += const
+            continue
+        for lo in range(0, n_frames, FRAME_BLOCK):
+            shift = 2.0 * path.velocity * t[lo : lo + FRAME_BLOCK] / C_LIGHT
+            drift = np.exp(-2j * np.pi * shift[:, None] * freqs)
+            h[lo : lo + FRAME_BLOCK] += drift[:, None, :] * const
 
     if scene.noise_sigma > 0:
         rng = np.random.default_rng(seed)
         scale = scene.noise_sigma / np.sqrt(2.0)
-        h += scale * rng.standard_normal(h.shape)
-        h += 1j * scale * rng.standard_normal(h.shape)
+        h.real += scale * rng.standard_normal(h.shape)
+        h.imag += scale * rng.standard_normal(h.shape)
 
     return CsiCapture(h.astype(np.complex64), t, rate_hz, label=str(scene.n_persons))
 
@@ -267,12 +281,15 @@ def load_scene(path) -> Scene:
                     raise ValueError(f"unknown statement {key!r}")
             except (IndexError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if current is not None:
-        raise ValueError(f"{path}: unterminated person block")
-    return Scene(
-        tuple(statics),
-        tuple(persons),
-        carrier_hz=params["carrier_hz"],
-        subcarrier_spacing_hz=params["spacing_hz"],
-        noise_sigma=params["noise_sigma"],
-    )
+    try:
+        if current is not None:
+            raise ValueError("unterminated person block")
+        return Scene(
+            tuple(statics),
+            tuple(persons),
+            carrier_hz=params["carrier_hz"],
+            subcarrier_spacing_hz=params["spacing_hz"],
+            noise_sigma=params["noise_sigma"],
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

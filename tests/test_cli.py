@@ -196,6 +196,16 @@ def test_simulate_from_scene_file(capsys, tmp_path):
     assert kv["frames"] == "300"
 
 
+def test_simulate_rejects_a_non_finite_scene_number_at_its_line(capsys, tmp_path):
+    scene_path = tmp_path / "nan.scene"
+    scene_path.write_text("path 1.0 0.0 1e-8 0.0\npath 1 0 1e-8 nan\n")
+    argv = ["simulate", "--scene", str(scene_path), "--duration", "0.2", "--out", str(tmp_path / "n.csic")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_one_line_error(capsys, argv, f"{scene_path}:2: ")
+    assert not (tmp_path / "n.csic").exists()
+
+
 # ------------------------------------------------- preprocess and features
 
 

@@ -1,5 +1,8 @@
 """Channel simulator: multipath motion, measurement noise, phase errors."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +123,78 @@ def test_extra_person_raises_amplitude_variance():
     assert var_b.max() > var_q.max() + 1e-6
 
 
+# ------------------------------------------------------------- reference
+
+
+def reference_capture(scene, duration, rate_hz=1500.0, seed=0):
+    """The response evaluated element by element: one exponential of the
+    whole delay per path, frame, stream and subcarrier, then the noise (all
+    real parts, then all imaginary parts), cast to complex64."""
+    n_frames = int(np.floor(duration * rate_hz))
+    t = np.arange(n_frames) / rate_hz
+    freqs = subcarrier_frequencies(scene)
+    streams = np.arange(6.0)
+    h = np.zeros((n_frames, 6, 30), dtype=np.complex128)
+    for path in [*scene.static_paths, *(p for person in scene.persons for p in person)]:
+        tau_t = path.initial_delay + 2.0 * path.velocity * t / C_LIGHT
+        tau = tau_t[:, None] + streams[None, :] * path.stream_delay_step
+        h += path.attenuation * np.exp(-2j * np.pi * tau[:, :, None] * freqs)
+    if scene.noise_sigma > 0:
+        rng = np.random.default_rng(seed)
+        scale = scene.noise_sigma / np.sqrt(2.0)
+        h += scale * rng.standard_normal(h.shape)
+        h += 1j * scale * rng.standard_normal(h.shape)
+    return h.astype(np.complex64)
+
+
+def stepped_scene():
+    """Movers with stream steps and a capture longer than one frame block."""
+    return Scene(
+        static_paths=(Path(1.0 + 0.0j, 12e-9, 0.0, 3e-10), Path(0.3 + 0.2j, 45e-9, 0.0, 1e-10)),
+        persons=(
+            (Path(0.2 - 0.1j, 30e-9, 1.3, 2e-10), Path(0.1 + 0.1j, 70e-9, -0.4, 4e-10)),
+            (Path(0.25 + 0.0j, 55e-9, -1.1, 0.0),),
+        ),
+        noise_sigma=0.02,
+    )
+
+
+@pytest.mark.parametrize(
+    "scene, duration, seed",
+    [(make_count_scene(5), 2.0, 3), (stepped_scene(), 1.0, 8)],
+    ids=["five_persons", "stream_steps"],
+)
+def test_simulation_is_within_one_float32_step_of_the_reference(scene, duration, seed):
+    # one step at the entry's magnitude: a component near zero still carries
+    # the float64 rounding of its whole entry (about 1e-13 for phases near
+    # 1,500 rad), which can be more than one step of the component itself
+    got = simulate_capture(scene, duration, seed=seed).values
+    ref = reference_capture(scene, duration, seed=seed)
+    step = np.spacing(np.maximum(np.abs(got), np.abs(ref)))
+    assert np.all(np.abs(got.real - ref.real) <= step)
+    assert np.all(np.abs(got.imag - ref.imag) <= step)
+
+
+def test_static_scene_with_noise_is_bit_identical_to_the_reference():
+    scene = make_count_scene(0, seed=6)
+    assert scene.noise_sigma > 0 and len(scene.static_paths) > 1
+    got = simulate_capture(scene, 1.5, seed=2).values
+    assert np.array_equal(got.view(np.uint32), reference_capture(scene, 1.5, seed=2).view(np.uint32))
+
+
+def test_simulation_transient_memory_is_bounded():
+    scene = make_count_scene(5)
+    n_frames = 6096
+    response_bytes = n_frames * 6 * 30 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        simulate_capture(scene, (n_frames + 0.5) / 1500.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * response_bytes
+
+
 # ------------------------------------------------------------- determinism
 
 
@@ -224,12 +299,28 @@ def test_make_count_scene_bounds():
 
 
 def test_scene_validation():
-    with pytest.raises(ValueError):
-        Scene(static_paths=())
-    with pytest.raises(ValueError):
-        Path(0.0 + 0.0j, 1e-9)
-    with pytest.raises(ValueError):
-        Path(1.0 + 0.0j, -1e-9)
+    statics = static_scene().static_paths
+    for make in [
+        lambda: Scene(static_paths=()),
+        lambda: Path(0.0 + 0.0j, 1e-9),
+        lambda: Path(1.0 + 0.0j, -1e-9),
+        lambda: Path(complex(np.nan, 0.0), 1e-9),
+        lambda: Path(complex(1.0, np.inf), 1e-9),
+        lambda: Path(1.0 + 0.0j, np.nan),
+        lambda: Path(1.0 + 0.0j, np.inf),
+        lambda: Path(1.0 + 0.0j, 1e-9, np.nan),
+        lambda: Path(1.0 + 0.0j, 1e-9, -np.inf),
+        lambda: Path(1.0 + 0.0j, 1e-9, 0.5, np.nan),
+        lambda: Path(1.0 + 0.0j, 1e-9, 0.5, np.inf),
+        lambda: Scene(statics, carrier_hz=np.nan),
+        lambda: Scene(statics, carrier_hz=np.inf),
+        lambda: Scene(statics, subcarrier_spacing_hz=np.nan),
+        lambda: Scene(statics, subcarrier_spacing_hz=np.inf),
+        lambda: Scene(statics, noise_sigma=np.nan),
+        lambda: Scene(statics, noise_sigma=np.inf),
+    ]:
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_scene_file_round_trip(tmp_path):
@@ -242,9 +333,16 @@ def test_scene_file_round_trip(tmp_path):
 
 def test_scene_file_parse_errors(tmp_path):
     path = tmp_path / "bad.scene"
-    path.write_text("path 1.0 0.0\n")  # too few fields
-    with pytest.raises(ValueError):
-        load_scene(path)
-    path.write_text("frobnicate 3\n")
-    with pytest.raises(ValueError):
-        load_scene(path)
+    for text, where in [
+        ("path 1.0 0.0\n", ":1:"),  # too few fields
+        ("frobnicate 3\n", ":1:"),
+        ("path 1 0 1e-8 0\nperson\npath 1 0 1e-8 nan\nend\n", ":3:"),
+        ("path 1 0 1e-8 0 inf\n", ":1:"),
+        ("path nan 0 1e-8 0\n", ":1:"),
+        ("path 1 0 nan 0\n", ":1:"),
+        ("carrier_hz nan\npath 1 0 1e-8 0\n", ":"),
+        ("noise_sigma inf\npath 1 0 1e-8 0\n", ":"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)} "):
+            load_scene(path)
