@@ -37,6 +37,7 @@ room; labels are clamped into 1..5 and the event log marks the clamping.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,14 @@ REGIME_LEARNING_RATES = {"fixed": 0.2, "semi": 0.1, "open": 0.15}
 REGIMES = tuple(REGIME_LEARNING_RATES)
 
 
+def _integer(name: str, value) -> int:
+    """`value` through operator.index (so NumPy integers pass); else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled count windows under one collection regime."""
@@ -106,11 +115,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
+        if _integer("batch_size", self.batch_size) < 1:
             raise ValueError("batch_size must be >= 1")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.max_iterations < 1:
+        if _integer("max_iterations", self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
 
 
@@ -197,6 +206,8 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
 
 def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> ConfusionMatrix:
     """Confusion matrix of predictions over the dataset (dropout off)."""
+    if _integer("batch_size", batch_size) < 1:
+        raise ValueError("batch_size must be >= 1")
     if len(dataset) == 0:
         raise ValueError("dataset is empty")
     windows = [w for w, _ in dataset.samples]
@@ -237,14 +248,14 @@ class CountSession:
     """Mutable online-counting state fusing the network with door events.
 
     Only the final dense layer may change during a session (via the
-    amendment fine-tune); current_count may be 0 even though the network
-    can only express 1..5, and may not exceed 5, so that a door event
-    moves it by at most one.  A network whose final dense layer and
-    softmax do not give N_CLASSES outputs is refused (ValueError).  push
-    feeds it frames; between pushes it carries only causal state:
-    frames_seen, the last max(2 * pad, WMA_TAPS - 1) amplitude rows, the
-    frames of the window not yet complete, the filtered activity ring, the
-    door-event detector and PCA's warm span.
+    amendment fine-tune); current_count is an integer (ValueError else)
+    that may be 0 even though the network can only express 1..5, and may
+    not exceed 5, so that a door event moves it by at most one.  A network
+    whose final dense layer and softmax do not give N_CLASSES outputs is
+    refused (ValueError).  push feeds it frames; between pushes it carries
+    only causal state: frames_seen, the last max(2 * pad, WMA_TAPS - 1)
+    amplitude rows, the frames of the window not yet complete, the filtered
+    activity ring, the door-event detector and PCA's warm span.
     """
 
     network: Network
@@ -264,6 +275,7 @@ class CountSession:
     _closed: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
+        self.current_count = _integer("current_count", self.current_count)
         if not 0 <= self.current_count <= N_CLASSES:
             raise ValueError(f"current_count must be in 0..{N_CLASSES}")
         net = self.network  # refuse a head that cannot give N_CLASSES counts now
@@ -366,31 +378,20 @@ def amend_and_finetune(
     before = session.current_count
     net = session.network
     prediction = int(_counts(net, head, start=net.last_dense)[0])
-    if event is None:
-        session.current_count = prediction
-        session.event_log.append(
-            SessionRecord(time_index, prediction, None, "none", before, prediction)
-        )
-        return prediction
-    if event.kind == "enter":
-        expected = before + 1
-    else:
-        expected = max(before - 1, 0)
-    clamped_label = min(max(expected, 1), N_CLASSES)
-    clamped = clamped_label != expected
-    expected = min(expected, N_CLASSES)  # the head caps what a room can show
-    if prediction == clamped_label:
-        action = "skip"
-    else:
-        finetune_last_dense(net, head, clamped_label)
-        action = "finetune"
-    session.current_count = expected
+    count, action, label, clamped = prediction, "none", None, False
+    if event is not None:
+        count = before + 1 if event.kind == "enter" else max(before - 1, 0)
+        label = min(max(count, 1), N_CLASSES)
+        clamped = label != count
+        count = min(count, N_CLASSES)  # the head caps what a room can show
+        action = "skip" if prediction == label else "finetune"
+        if action == "finetune":
+            finetune_last_dense(net, head, label)
+    session.current_count = count
     session.event_log.append(
-        SessionRecord(
-            time_index, prediction, event, action, before, expected, clamped_label, clamped
-        )
+        SessionRecord(time_index, prediction, event, action, before, count, label, clamped)
     )
-    return expected
+    return count
 
 
 def _count_windows(amp: np.ndarray, phase: np.ndarray, prior, capture: CsiCapture) -> list:

@@ -1,13 +1,13 @@
 """Daubechies-4 wavelet decomposition and energy/variance features.
 
-The cascade splits a signal (or every column of a matrix at once) into
-detail coefficients at levels 1..L (level 1 = highest frequency band) plus a
-final approximation, using the 4-tap orthonormal Daubechies filter with
-periodic boundary handling.  Whenever every level splits an even-length
-signal the cascade is an orthonormal linear map: energy is conserved
-exactly and no information is lost.  Only the analysis direction exists,
-since the activity features read band energies and never synthesise a
-signal.
+One cascade, dwt_decompose, splits a signal (or every column of a matrix,
+or of a stack, at once) along axis 0 into detail coefficients at levels
+1..L (level 1 = highest frequency band) plus a final approximation, using
+the 4-tap orthonormal Daubechies filter with periodic boundary handling.
+Whenever every level splits an even-length signal the cascade is an
+orthonormal linear map: energy is conserved exactly and no information is
+lost.  Only the analysis direction exists, since the activity features
+read band energies and never synthesise a signal.
 
 Feature extraction summarizes each level over fixed windows of the original
 time axis: detail coefficient n at level l sits at sample n * 2^l, and each
@@ -55,14 +55,20 @@ def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return approx, sum(g * tap for g, tap in zip(D4_HIGHPASS, taps))
 
 
-def _cascade(x: np.ndarray, levels: int) -> WaveletDecomposition:
-    """Validated analysis cascade along axis 0 (shared by both entry points)."""
+def dwt_decompose(signal, levels: int = 10) -> WaveletDecomposition:
+    """Run the analysis cascade along axis 0 for `levels` levels.
+
+    `signal` is one signal, a matrix whose columns are decomposed at once,
+    or any stack with time on axis 0.  Requires at least 2^levels samples
+    and finite values.  Level l has ceil(n / 2^l) coefficients; when n is
+    divisible by 2^levels every split is exact and the transform is
+    orthonormal.
+    """
+    x = np.asarray(signal, dtype=np.float64)
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if x.shape[0] < 2**levels:
-        raise ValueError(
-            f"signal length {x.shape[0]} is shorter than 2^{levels} = {2**levels}"
-        )
+    if x.ndim < 1 or x.shape[0] < 2**levels:
+        raise ValueError(f"signal of shape {x.shape} is shorter than 2^{levels} = {2**levels}")
     if not np.isfinite(x).all():
         raise ValueError("signal contains non-finite values")
     n0 = x.shape[0]
@@ -71,19 +77,6 @@ def _cascade(x: np.ndarray, levels: int) -> WaveletDecomposition:
         x, d = _analyze(x)
         details.append(d)
     return WaveletDecomposition(tuple(details), x, n0)
-
-
-def dwt_decompose(signal, levels: int = 10) -> WaveletDecomposition:
-    """Run the analysis cascade for `levels` levels.
-
-    Requires len(signal) >= 2^levels.  Level l has ceil(len / 2^l)
-    coefficients; when the length is divisible by 2^levels every split is
-    exact and the transform is orthonormal.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D signal")
-    return _cascade(x, levels)
 
 
 def extract_features(decomp: WaveletDecomposition) -> np.ndarray:
@@ -122,12 +115,13 @@ def extract_features(decomp: WaveletDecomposition) -> np.ndarray:
 def feature_matrix_from_components(components: np.ndarray, levels: int = 10) -> np.ndarray:
     """Average the feature matrices of several component signals.
 
-    `components` is (n_samples, n_components); one cascade decomposes all
-    columns at once and extract_features averages their matrices, yielding
-    one (2 * levels, n_windows) matrix for the whole set.  A (..., n_samples,
-    n_components) stack yields one matrix per set from the same cascade.
+    `components` is (n_samples, n_components); one dwt_decompose call
+    decomposes all columns at once and extract_features averages their
+    matrices, yielding one (2 * levels, n_windows) matrix for the whole set.
+    A (..., n_samples, n_components) stack yields one matrix per set from
+    the same call.
     """
     comp = np.asarray(components, dtype=np.float64)
     if comp.shape[-1] < 1:
         raise ValueError("need at least one component")
-    return extract_features(_cascade(np.moveaxis(comp, -2, 0), levels))
+    return extract_features(dwt_decompose(np.moveaxis(comp, -2, 0), levels))

@@ -5,7 +5,9 @@ counting network's layers by position; a renamed function or a reordered
 stack would make a traced run fail or file its times under the wrong layer.
 The other bench scripts call the library through module attributes and
 `from csicount.X import` lines, which fail only when a bench run reaches
-them, so every such name is checked here.
+them, so every such name is checked here.  The bench self-test builds the
+library's per-window records and runs every bench check on them, so it
+runs here too.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 from csicount.neural import build_cnn_lstm
@@ -71,3 +76,17 @@ def test_layer_roles_name_the_counting_network_layers():
     assert set(load_spans().LAYER_ROLES) == set(kinds)
     layers = build_cnn_lstm().layers
     assert {i: layers[i].kind for i in kinds} == kinds
+
+
+def test_bench_selftest_judges_every_case_right():
+    result = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "selftest.py")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    right, total = re.fullmatch(
+        r"(\d+) of (\d+) cases judged right", result.stdout.splitlines()[-1]
+    ).groups()
+    assert right == total and int(total) > 0

@@ -138,6 +138,23 @@ def test_train_config_validation():
             TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(max_iterations=0)
+    # a fractional size once failed later in range(); a fractional count of
+    # iterations ran the next integer, an infinite one never returned
+    for bad in ({"batch_size": 2.5}, {"max_iterations": 2.5}, {"max_iterations": np.inf}):
+        with pytest.raises(ValueError, match="integer"):
+            TrainConfig(**bad)
+    config = TrainConfig(batch_size=np.int64(64), max_iterations=np.int32(3))
+    assert (config.batch_size, config.max_iterations) == (64, 3)
+
+
+def test_evaluate_refuses_nonpositive_batch_size():
+    # batch_size=-1 once gave an empty matrix, accuracy 0.0, for any dataset
+    ds = Dataset([(summary_window(np.random.default_rng(k)), 1) for k in range(3)])
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="batch_size"):
+            evaluate(build_fcbp(seed=1), ds, batch_size=bad)
+    with pytest.raises(ValueError, match="integer"):
+        evaluate(build_fcbp(seed=1), ds, batch_size=2.5)
 
 
 def test_confusion_matrix_accuracy():
@@ -279,6 +296,17 @@ def test_session_validation():
         CountSession(net, current_count=6)
     with pytest.raises(TypeError):
         CountSession(net, event_log=[])  # every session starts with an empty log
+    # 2.5 once counted to 3.5 on an enter while the fine-tune trained toward 3
+    for bad in (2.5, "2"):
+        with pytest.raises(ValueError, match="integer"):
+            CountSession(net, current_count=bad)
+    force_prediction(net, 5)
+    session = CountSession(net, current_count=np.int64(2))
+    head = window_heads(net, [summary_window(np.random.default_rng(1))])
+    assert amend_and_finetune(session, head, DoorEvent("enter", 0)) == 3
+    rec = session.event_log[-1]
+    assert (rec.count_before, rec.count_after, rec.label, rec.action) == (2, 3, 3, "finetune")
+    assert type(rec.count_before) is int and type(session.current_count) is int
 
 
 def test_amend_without_event_trusts_network():

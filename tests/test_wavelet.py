@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csicount import wavelet
 from csicount.wavelet import (
     D4_HIGHPASS,
     D4_LOWPASS,
@@ -110,7 +111,15 @@ def test_decompose_validation():
     with pytest.raises(ValueError):
         dwt_decompose(np.zeros(64), levels=0)
     with pytest.raises(ValueError):
-        dwt_decompose(np.zeros((8, 8)), levels=1)
+        dwt_decompose(np.float64(1.0), levels=1)  # a scalar has no time axis
+    # a matrix decomposes along axis 0: each column gives its own 1-D cascade
+    cols = np.random.default_rng(3).standard_normal((64, 3))
+    decomp = dwt_decompose(cols, levels=4)
+    assert decomp.signal_len == 64
+    for c in range(3):
+        single = dwt_decompose(cols[:, c], levels=4)
+        for got, ref in zip((*decomp.details, decomp.approx), (*single.details, single.approx)):
+            assert np.array_equal(got[:, c], ref)
     bad = np.zeros(64)
     bad[3] = np.nan
     with pytest.raises(ValueError):
@@ -238,6 +247,22 @@ def test_forward_fill_matches_loop_on_sparse_levels():
 
 
 # ------------------------------------------------- component averaging
+
+
+def test_component_features_run_the_module_cascade(monkeypatch):
+    # the bench times and counts the online cascade by patching
+    # wavelet.dwt_decompose, so the features must look it up there
+    calls = []
+
+    def counted(signal, levels=10):
+        calls.append(np.shape(signal))
+        return dwt_decompose(signal, levels)
+
+    monkeypatch.setattr(wavelet, "dwt_decompose", counted)
+    cols = np.random.default_rng(7).standard_normal((4, 1024, 3))
+    fm = feature_matrix_from_components(cols, levels=10)
+    assert calls == [(1024, 4, 3)]
+    assert fm.shape == (4, 20, 8)
 
 
 def test_component_average():
