@@ -29,7 +29,7 @@ File format (all little-endian)::
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,9 +144,7 @@ def concat_captures(captures, label: str = "") -> CsiCapture:
         ts_parts.append(ts)
     values = np.concatenate(parts) if parts else first.values[:0]
     timestamps = np.concatenate(ts_parts) if ts_parts else first.timestamps[:0]
-    return CsiCapture(
-        values, timestamps, first.rate_hz, first.n_tx, first.n_rx, first.n_sub, label
-    )
+    return replace(first, values=values, timestamps=timestamps, label=label)
 
 
 def _packet_dtype(n_streams: int, n_sub: int) -> np.dtype:

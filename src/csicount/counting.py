@@ -38,7 +38,7 @@ room; labels are clamped into 1..5 and the event log marks the clamping.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,10 +69,6 @@ ACTIVITY_LEVELS = 10
 # 32 the front pass is only ~6% cheaper per window for twice the memory.
 ONLINE_BLOCK = 16
 
-# Per-regime learning rates: scripted rooms tolerate the largest steps.
-REGIME_LEARNING_RATES = {"fixed": 0.2, "semi": 0.1, "open": 0.15}
-REGIMES = tuple(REGIME_LEARNING_RATES)
-
 
 def _integer(name: str, value) -> int:
     """`value` through operator.index (so NumPy integers pass); else ValueError."""
@@ -84,19 +80,18 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled count windows under one collection regime."""
+    """Labeled count windows: at least one, each labeled with an integer 1..5."""
 
     samples: tuple
-    regime: str = "fixed"
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        if not self.samples:
+            raise ValueError("dataset is empty")
         for window, label in self.samples:
             if not isinstance(window, CsiWindow):
                 raise TypeError("samples must pair CsiWindow with an int label")
-            if not 1 <= int(label) <= N_CLASSES:
+            if not 1 <= _integer("count label", label) <= N_CLASSES:
                 raise ValueError(f"count label {label} outside 1..{N_CLASSES}")
 
     def __len__(self):
@@ -104,7 +99,7 @@ class Dataset:
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array([int(lab) for _, lab in self.samples], dtype=np.int64)
+        return np.array([lab for _, lab in self.samples], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -169,8 +164,6 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
     from the end of the best pass is restored before returning.  A
     non-finite layer output aborts with RuntimeError.
     """
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     windows = [w for w, _ in dataset.samples]
     labels = dataset.labels
     n = len(labels)
@@ -208,8 +201,6 @@ def evaluate(network: Network, dataset: Dataset, batch_size: int = 64) -> Confus
     """Confusion matrix of predictions over the dataset (dropout off)."""
     if _integer("batch_size", batch_size) < 1:
         raise ValueError("batch_size must be >= 1")
-    if len(dataset) == 0:
-        raise ValueError("dataset is empty")
     windows = [w for w, _ in dataset.samples]
     labels = dataset.labels
     counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
@@ -316,10 +307,10 @@ class CountSession:
         start, used, steps = self.frames_seen - len(times), 0, []
         while k := min(ONLINE_BLOCK, (len(times) + chunk.n_frames - used) // WINDOW_LEN):
             stop = used + k * WINDOW_LEN - len(times)
-            block = CsiCapture(
-                np.concatenate([values, chunk.values[used:stop]]),
-                np.concatenate([times, chunk.timestamps[used:stop]]),
-                *fmt,
+            block = replace(
+                chunk,
+                values=np.concatenate([values, chunk.values[used:stop]]),
+                timestamps=np.concatenate([times, chunk.timestamps[used:stop]]),
             )
             steps += self._count_block(block, start)
             values, times, used, start = values[:0], times[:0], stop, start + block.n_frames

@@ -26,7 +26,7 @@ of a 20 MHz channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -180,16 +180,7 @@ def inject_phase_offsets(
         rng = np.random.default_rng(seed)
         jitter = rng.normal(0.0, d.jitter_sigma, capture.n_frames)
         phase = phase + jitter[:, None, None]
-    rotated = (amp * np.exp(1j * phase)).astype(np.complex64)
-    return CsiCapture(
-        rotated,
-        capture.timestamps,
-        capture.rate_hz,
-        capture.n_tx,
-        capture.n_rx,
-        capture.n_sub,
-        capture.label,
-    )
+    return replace(capture, values=(amp * np.exp(1j * phase)).astype(np.complex64))
 
 
 def make_count_scene(n_persons: int, seed: int = 0, noise_sigma: float | None = None) -> Scene:

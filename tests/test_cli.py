@@ -522,6 +522,26 @@ def test_train_count_rejects_bad_manifest(capsys, tmp_path):
             assert_one_line_error(capsys, argv, f"{manifest}: {message}")
 
 
+def test_regime_picks_the_learning_rate_and_an_unknown_one_is_refused(capsys, tmp_path):
+    cap, _ = simulate(capsys, tmp_path, "one.csic", persons=1, duration=0.2, seed=1)
+    manifest = tmp_path / "count.json"
+    ckpt = tmp_path / "net.csnn"
+    train_argv = ["train-count", "--data", str(manifest), "--net", "fcbp", "--iters", "1",
+                  "--batch", "1", "--out", str(ckpt)]
+    items = [{"path": cap.name, "label": 1}]
+    manifest.write_text(json.dumps({"regime": "semi", "items": items}))
+    for flag, regime, lr in (([], "semi", "0.1"), (["--regime", "open"], "open", "0.15")):
+        code, kv, _ = run_cli(capsys, *train_argv, *flag)
+        assert code == 0
+        assert (kv["regime"], kv["learning_rate"]) == (regime, lr)
+
+    # eval reads the same manifests, so it refuses the same regimes
+    manifest.write_text(json.dumps({"regime": "casual", "items": items}))
+    needle = "regime must be one of ('fixed', 'semi', 'open'), got 'casual'"
+    for argv in (train_argv, ["eval", "--ckpt", str(ckpt), "--data", str(manifest)]):
+        assert_one_line_error(capsys, argv, needle)
+
+
 def test_train_hmm_rejects_bad_manifest(capsys, tmp_path):
     # each manifest is refused before any capture is read
     manifest = tmp_path / "walk.json"

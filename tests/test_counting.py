@@ -7,11 +7,10 @@ import pytest
 
 from csicount import counting, neural
 from csicount.capture import CsiCapture, concat_captures, split_streams
+from csicount.cli import REGIME_LEARNING_RATES, REGIMES
 from csicount.counting import (
     ACTIVITY_HISTORY,
     ONLINE_BLOCK,
-    REGIME_LEARNING_RATES,
-    REGIMES,
     ConfusionMatrix,
     CountSession,
     Dataset,
@@ -106,9 +105,15 @@ def test_dataset_rejects_non_window():
         Dataset([(np.zeros((12, 20)), 1)])
 
 
-def test_dataset_rejects_bad_regime():
-    with pytest.raises(ValueError):
-        Dataset([], regime="casual")
+def test_dataset_rejects_empty_and_non_integer_labels():
+    # never empty, so train and evaluate need no emptiness check of their own
+    with pytest.raises(ValueError, match="dataset is empty"):
+        Dataset([])
+    win = toy_window(np.zeros((12, 20)))
+    for label in (2.5, 5.9, "3"):  # not truncated to 2, 5 and 3
+        with pytest.raises(ValueError, match="count label must be an integer"):
+            Dataset([(win, label)])
+    assert Dataset([(win, np.int64(3))]).labels.tolist() == [3]
 
 
 def test_dataset_rejects_out_of_range_label():
@@ -214,13 +219,6 @@ def test_train_learns_separable_data():
     after = evaluate(net, ds).accuracy
     assert after >= 0.95
     assert after > before
-
-
-def test_train_empty_dataset_raises():
-    with pytest.raises(ValueError):
-        train(build_fcbp(seed=0), Dataset([]), TrainConfig())
-    with pytest.raises(ValueError):
-        evaluate(build_fcbp(seed=0), Dataset([]))
 
 
 def test_train_divergence_raises():

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csicount.capture import split_streams
+from csicount.capture import CsiCapture, split_streams
 from csicount.sim import (
     C_LIGHT,
     Path,
@@ -260,6 +260,19 @@ def test_inject_jitter_is_per_packet_and_seeded():
     # within one packet every entry rotates by the same angle
     rot = np.angle(a.values[3].astype(np.complex128) * np.conj(cap.values[3].astype(np.complex128)))
     assert np.max(np.abs(rot - rot.flat[0])) < 5e-7
+
+
+def test_inject_keeps_every_field_but_the_values():
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal((5, 2, 4)) + 1j * rng.standard_normal((5, 2, 4))
+    cap = CsiCapture(values, np.arange(5) / 900.0 + 0.25, 900.0, 1, 2, 4, "door-left")
+    out = inject_phase_offsets(cap, PhaseDistortion(sfo_slope=0.02, jitter_sigma=0.1))
+    assert np.array_equal(out.timestamps, cap.timestamps)
+    assert (out.rate_hz, out.n_tx, out.n_rx, out.n_sub, out.label) == (
+        900.0, 1, 2, 4, "door-left"
+    )
+    assert out.values.shape == cap.values.shape
+    assert not np.array_equal(out.values, cap.values)
 
 
 def test_negative_jitter_sigma_rejected():
