@@ -12,14 +12,3 @@ neural      from-scratch neural network engine (LSTM / conv / dense, SGD)
 counting    crowd-count training, evaluation, and the online session loop
 cli         command-line entry point
 """
-
-__version__ = "0.1.0"
-
-from .capture import CsiCapture, read_capture, write_capture
-
-__all__ = [
-    "CsiCapture",
-    "read_capture",
-    "write_capture",
-    "__version__",
-]

@@ -36,6 +36,7 @@ from .counting import (
 )
 from .hmm import ActivityLabel, classify_activity, fit_hmm, load_hmm, save_hmm
 from .neural import (
+    N_CLASSES,
     build_cnn_lstm,
     build_cnn_lstm_toy,
     build_fcbp,
@@ -62,24 +63,19 @@ from .wavelet import feature_matrix_from_components
 
 log = logging.getLogger("csicount")
 
-NETWORK_BUILDERS = {
-    "cnn-lstm": build_cnn_lstm,
-    "cnn-lstm-toy": build_cnn_lstm_toy,
-    "fcbp": build_fcbp,
-}
 # Per-regime learning rates: scripted rooms tolerate the largest steps.
 REGIME_LEARNING_RATES = {"fixed": 0.2, "semi": 0.1, "open": 0.15}
 REGIMES = tuple(REGIME_LEARNING_RATES)
-# Per net: (parameters probed per array, eps, input scale, input shape).
-# Sampling keeps the full-size checks inside a small time budget; the toy
-# network is cheap enough to probe every parameter.  Central differences on
-# an O(1) loss carry ~1e-11 noise, so the bigger network gets a wider eps;
-# input scale keeps activations away from rectifier boundaries where a
-# one-sided difference would be meaningless.
-GRADCHECK = {
-    "cnn-lstm": (25, 1e-6, 1.0, (1, 200, 360)),
-    "cnn-lstm-toy": (None, 1e-5, 3.0, (2, 12, 20)),
-    "fcbp": (60, 1e-5, 2.0, (2, 360)),
+# Per net: (builder, and for gradcheck: parameters probed per array, eps,
+# input scale, input shape).  Sampling keeps the full-size checks inside a
+# small time budget; the toy network is cheap enough to probe every
+# parameter.  Central differences on an O(1) loss carry ~1e-11 noise, so the
+# bigger network gets a wider eps; input scale keeps activations away from
+# rectifier boundaries where a one-sided difference would be meaningless.
+NETWORKS = {
+    "cnn-lstm": (build_cnn_lstm, 25, 1e-6, 1.0, (1, 200, 360)),
+    "cnn-lstm-toy": (build_cnn_lstm_toy, None, 1e-5, 3.0, (2, 12, 20)),
+    "fcbp": (build_fcbp, 60, 1e-5, 2.0, (2, 360)),
 }
 
 
@@ -230,7 +226,7 @@ def _count_dataset(manifest_path: str, regime_flag: str | None) -> tuple[Dataset
 def _cmd_train_count(args) -> int:
     dataset, regime = _count_dataset(args.data, args.regime)
     lr = args.lr if args.lr is not None else REGIME_LEARNING_RATES[regime]
-    network = NETWORK_BUILDERS[args.net](seed=args.seed)
+    network = NETWORKS[args.net][0](seed=args.seed)
     config = TrainConfig(
         batch_size=args.batch,
         learning_rate=lr,
@@ -279,10 +275,10 @@ def _cmd_online(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    network = NETWORK_BUILDERS[args.net](seed=args.seed)
-    samples, default_eps, scale, shape = GRADCHECK[args.net]
+    build, samples, default_eps, scale, shape = NETWORKS[args.net]
+    network = build(seed=args.seed)
     x = np.random.default_rng(args.seed + 1).standard_normal(shape) * scale
-    labels = 1 + np.arange(x.shape[0]) % 5
+    labels = 1 + np.arange(x.shape[0]) % N_CLASSES
     eps = args.eps if args.eps is not None else default_eps
     err = finite_difference_check(network, x, labels, eps=eps, max_per_array=samples)
     print(f"net={args.net}")
@@ -349,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-count", help="train a counting network from a manifest")
     p.add_argument("--data", required=True, help='JSON {"regime": r, "items": [{"path","label"}]}')
     p.add_argument("--regime", choices=REGIMES, default=None)
-    p.add_argument("--net", choices=sorted(NETWORK_BUILDERS), default="cnn-lstm")
+    p.add_argument("--net", choices=sorted(NETWORKS), default="cnn-lstm")
     p.add_argument("--lr", type=float, default=None, help="default: per-regime rate")
     p.add_argument("--iters", type=int, default=3000)
     p.add_argument("--batch", type=int, default=64)
@@ -370,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_online)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--net", choices=sorted(NETWORK_BUILDERS), default="cnn-lstm-toy")
+    p.add_argument("--net", choices=sorted(NETWORKS), default="cnn-lstm-toy")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--eps", type=float, default=None, help="default: per-net step")
     p.add_argument("--seed", type=int, default=4, help="default sits at a clean evaluation point")

@@ -42,9 +42,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import hmm
 from .capture import CsiCapture, split_streams
 from .hmm import ActivityLabel, DoorEvent, DoorEventDetector, classify_activity
-from .neural import Network, finetune_last_dense
+from .neural import N_CLASSES, Network, finetune_last_dense
 from .preprocess import (
     WMA_TAPS,
     CsiWindow,
@@ -57,7 +58,6 @@ from .preprocess import (
 )
 from .wavelet import feature_matrix_from_components
 
-N_CLASSES = 5
 WINDOW_LEN = 200
 ACTIVITY_HISTORY = 1024  # samples of amplitude fed to the activity branch
 ACTIVITY_CUTOFF_HZ = 200.0
@@ -243,10 +243,11 @@ class CountSession:
     that may be 0 even though the network can only express 1..5, and may
     not exceed 5, so that a door event moves it by at most one.  A network
     whose final dense layer and softmax do not give N_CLASSES outputs is
-    refused (ValueError).  push feeds it frames; between pushes it carries
-    only causal state: frames_seen, the last max(2 * pad, WMA_TAPS - 1)
-    amplitude rows, the frames of the window not yet complete, the filtered
-    activity ring, the door-event detector and PCA's warm span.
+    refused (ValueError), and so are HMMs that cannot score its activity
+    features.  push feeds it frames; between pushes it carries only causal
+    state: frames_seen, the last max(2 * pad, WMA_TAPS - 1) amplitude rows,
+    the frames of the window not yet complete, the filtered activity ring,
+    the door-event detector and PCA's warm span.
     """
 
     network: Network
@@ -271,6 +272,10 @@ class CountSession:
             raise ValueError(f"current_count must be in 0..{N_CLASSES}")
         net = self.network  # refuse a head that cannot give N_CLASSES counts now
         _counts(net, np.zeros((1, net.layers[net.last_dense].in_dim)), start=net.last_dense)
+        # and models that cannot score its features, through hmm itself so that
+        # a stand-in for the classify_activity push calls is not consumed
+        if self.hmm_models:
+            hmm.classify_activity(self.hmm_models, np.zeros((1, 1, 2 * ACTIVITY_LEVELS)))
 
     def push(self, chunk: CsiCapture) -> list:
         """Count the windows that `chunk` completes; one OnlineStep each.

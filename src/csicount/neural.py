@@ -54,6 +54,7 @@ CHECKPOINT_MAGIC = b"CSNN"
 CHECKPOINT_VERSION = 1
 _HEAD = struct.Struct("<4sHI")  # magic, version, architecture length
 
+N_CLASSES = 5  # the counting networks' classes: 1..5 people
 PROB_CLAMP = 1e-12
 _TILE_COLS = 24  # input columns one Conv2d tile may read
 FINETUNE_LR = 0.01  # the online amendment's fine-tune of the last dense layer
@@ -118,7 +119,9 @@ class Layer:
         return sum(math.prod(shape) for shape, _ in self.shapes().values())
 
     def descriptor(self) -> dict:
-        return {"kind": self.kind, **{name: getattr(self, name) for name in self.fields}}
+        """The layer's checkpoint entry: kind, fields, then the trace flag."""
+        fields = {name: getattr(self, name) for name in self.fields}
+        return {"kind": self.kind, **fields, "trace": bool(self.trace_point)}
 
     @property
     def name(self) -> str:
@@ -658,63 +661,40 @@ class Network:
         return {
             "input_kind": self.input_kind,
             "seed": self.seed,
-            "layers": [
-                dict(layer.descriptor(), trace=bool(layer.trace_point))
-                for layer in self.layers
-            ],
+            "layers": [layer.descriptor() for layer in self.layers],
         }
+
+
+def _head(widths) -> list:
+    """dense -> dense (both ReLU) -> dense N_CLASSES -> softmax from the three
+    input widths; its last dense layer is the one fine-tuning updates."""
+    a, b, c = widths
+    return [Dense(a, b, "relu"), Dense(b, c, "relu"), Dense(c, N_CLASSES), Softmax()]
+
+
+def _cnn_lstm(seed, in_dim, cells, conv1, conv2, widths) -> Network:
+    """LSTM -> dropout -> conv + pool -> conv -> flatten -> _head(widths),
+    where conv1 and conv2 are Conv2d arguments (ReLU)."""
+    first = Conv2d(*conv1)
+    first.trace_point = False  # the conv-pool block is traced at its pool
+    stack = [Lstm(in_dim, cells), Dropout(0.1), AsImage(), first, MaxPool2d(2)]
+    stack += [Conv2d(*conv2), Flatten(), *_head(widths)]
+    return Network(stack, input_kind="sequence", seed=seed)
 
 
 def build_cnn_lstm(seed: int = 0) -> Network:
     """The full counting network on 200 x 360 windows (see module docstring)."""
-    conv1 = Conv2d(1, 6, 5, 5, stride=1, activation="relu")
-    conv1.trace_point = False  # the conv-pool block is traced at its pool
-    layers = [
-        Lstm(360, 64),
-        Dropout(0.1),
-        AsImage(),
-        conv1,
-        MaxPool2d(2),
-        Conv2d(6, 10, 5, 3, stride=3, activation="relu"),
-        Flatten(),
-        Dense(3200, 1000, "relu"),
-        Dense(1000, 200, "relu"),
-        Dense(200, 5, "linear"),
-        Softmax(),
-    ]
-    return Network(layers, input_kind="sequence", seed=seed)
+    return _cnn_lstm(seed, 360, 64, (1, 6, 5, 5), (6, 10, 5, 3, 3), (3200, 1000, 200))
 
 
 def build_fcbp(seed: int = 0) -> Network:
     """Fully-connected baseline on per-window feature means: 360-300-100-5."""
-    layers = [
-        SummaryInput(360),
-        Dense(360, 300, "relu"),
-        Dense(300, 100, "relu"),
-        Dense(100, 5, "linear"),
-        Softmax(),
-    ]
-    return Network(layers, input_kind="summary", seed=seed)
+    return Network([SummaryInput(360), *_head((360, 300, 100))], input_kind="summary", seed=seed)
 
 
 def build_cnn_lstm_toy(seed: int = 0) -> Network:
     """The counting stack shrunk to a 12 x 20 input for fast gradient checks."""
-    conv1 = Conv2d(1, 3, 3, 3, stride=1, activation="relu")
-    conv1.trace_point = False
-    layers = [
-        Lstm(20, 16),
-        Dropout(0.1),
-        AsImage(),
-        conv1,
-        MaxPool2d(2),
-        Conv2d(3, 4, 3, 3, stride=2, activation="relu"),
-        Flatten(),
-        Dense(24, 16, "relu"),
-        Dense(16, 10, "relu"),
-        Dense(10, 5, "linear"),
-        Softmax(),
-    ]
-    return Network(layers, input_kind="sequence", seed=seed)
+    return _cnn_lstm(seed, 20, 16, (1, 3, 3, 3), (3, 4, 3, 3, 2), (24, 16, 10))
 
 
 def data_loss(net: Network, x, labels) -> float:

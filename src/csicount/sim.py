@@ -67,8 +67,8 @@ class Path:
 class Scene:
     """A room: static paths plus one path group per person.
 
-    At least one static path (the line of sight) is required; at most 10
-    persons are supported.  noise_sigma is the standard deviation of the
+    At least one static path (the line of sight) is required, and each person
+    has at least one path; at most 10 persons are supported.  noise_sigma is the standard deviation of the
     complex measurement noise added per CSI entry.
     """
 
@@ -85,6 +85,8 @@ class Scene:
             raise ValueError("a scene needs at least one static path")
         if len(self.persons) > 10:
             raise ValueError("at most 10 persons are supported")
+        if not all(self.persons):
+            raise ValueError("each person needs at least one path")
         if not (0 < self.carrier_hz < np.inf and 0 < self.subcarrier_spacing_hz < np.inf):
             raise ValueError("carrier and subcarrier spacing must be positive and finite")
         if not 0 <= self.noise_sigma < np.inf:
@@ -101,7 +103,9 @@ class PhaseDistortion:
 
     sfo_slope     radians per subcarrier index (sampling-frequency offset)
     cfo_offset    constant radians common to every entry (carrier offset)
-    jitter_sigma  std-dev of an extra per-packet phase, radians
+    jitter_sigma  std-dev of an extra per-packet phase, radians (>= 0)
+
+    Every value must be finite.
     """
 
     sfo_slope: float = 0.0
@@ -109,8 +113,10 @@ class PhaseDistortion:
     jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be non-negative")
+        if not np.isfinite([self.sfo_slope, self.cfo_offset]).all():
+            raise ValueError("phase slope and offset must be finite")
+        if not 0 <= self.jitter_sigma < np.inf:
+            raise ValueError("jitter_sigma must be non-negative and finite")
 
 
 def subcarrier_frequencies(scene: Scene) -> np.ndarray:

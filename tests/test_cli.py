@@ -206,6 +206,14 @@ def test_simulate_rejects_a_non_finite_scene_number_at_its_line(capsys, tmp_path
     assert not (tmp_path / "n.csic").exists()
 
 
+def test_inject_refuses_a_non_finite_jitter(capsys, tmp_path):
+    # it once wrote the input's bits unchanged and exited 0
+    simulate(capsys, tmp_path, "w.csic", 1, 0.2, 0)
+    argv = ["inject", "--in", str(tmp_path / "w.csic"), "--jitter", "nan", "--out", str(tmp_path / "o")]
+    assert_one_line_error(capsys, argv, "jitter_sigma must be non-negative and finite")
+    assert not (tmp_path / "o").exists()
+
+
 # ------------------------------------------------- preprocess and features
 
 
@@ -567,10 +575,11 @@ def test_train_hmm_rejects_bad_manifest(capsys, tmp_path):
 # ---------------------------------------------------------------- gradcheck
 
 
-def test_gradcheck_toy_network(capsys):
-    code, kv, _ = run_cli(capsys, "gradcheck")
+@pytest.mark.parametrize("net", ["cnn-lstm-toy", "fcbp"])
+def test_gradcheck_toy_network(capsys, net):
+    code, kv, _ = run_cli(capsys, "gradcheck", "--net", net)
     assert code == 0
-    assert kv["net"] == "cnn-lstm-toy"
+    assert kv["net"] == net
     assert float(kv["max_rel_err"]) < 1e-4
 
 

@@ -1,5 +1,6 @@
 """Count-network training, event-fused sessions, and the online pipeline."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -298,6 +299,13 @@ def test_session_validation():
     for bad in (2.5, "2"):
         with pytest.raises(ValueError, match="integer"):
             CountSession(net, current_count=bad)
+    # models that cannot score the session's features once failed at its
+    # sixth window, its first history
+    three = GaussianHmm([1.0], [[1.0]], np.zeros((1, 3)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match=re.escape("(T, 3), got (1, 20)")):
+        CountSession(net, hmm_models={ActivityLabel.WALKING: three})
+    with pytest.raises(ValueError, match="keyed by ActivityLabel"):
+        CountSession(net, hmm_models={"W": three})
     force_prediction(net, 5)
     session = CountSession(net, current_count=np.int64(2))
     head = window_heads(net, [summary_window(np.random.default_rng(1))])
@@ -502,7 +510,7 @@ def test_session_invariants_under_random_activity_scripts(monkeypatch):
     # the prediction without an event, moves by exactly one (clamped) per
     # door event, and only the last dense layer changes
     cap = random_capture(np.random.default_rng(40), 30 * WINDOW_LEN)
-    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)))  # never scored
+    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)))  # only the probe scores it
     events = {"enter": 0, "leave": 0}
     tuned = 0
     for seed in range(10):
@@ -884,7 +892,7 @@ def test_a_failed_push_closes_the_session(monkeypatch):
         return [ActivityLabel.WALKING] * len(stack)
 
     monkeypatch.setattr(counting, "classify_activity", failing)
-    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)))  # never scored
+    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)))  # only the probe scores it
     cap = random_capture(np.random.default_rng(41), 2 * ONLINE_BLOCK * WINDOW_LEN)
     net = build_fcbp(seed=0)
     session = CountSession(net, hmm_models={ActivityLabel.WALKING: model}, current_count=1)

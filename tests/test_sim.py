@@ -275,9 +275,15 @@ def test_inject_keeps_every_field_but_the_values():
     assert not np.array_equal(out.values, cap.values)
 
 
-def test_negative_jitter_sigma_rejected():
-    with pytest.raises(ValueError):
-        PhaseDistortion(jitter_sigma=-0.1)
+def test_phase_distortion_refuses_negative_or_non_finite_values():
+    # a nan jitter once wrote the input unchanged, and an infinite one
+    # blamed the capture for non-finite CSI values
+    bad = [{"jitter_sigma": -0.1}]
+    bad += [{name: v} for name in ("sfo_slope", "cfo_offset", "jitter_sigma")
+            for v in (np.nan, np.inf, -np.inf)]
+    for kwargs in bad:
+        with pytest.raises(ValueError, match="finite|non-negative"):
+            PhaseDistortion(**kwargs)
 
 
 # ------------------------------------------------------------- scenes
@@ -331,6 +337,7 @@ def test_scene_validation():
         lambda: Scene(statics, subcarrier_spacing_hz=np.inf),
         lambda: Scene(statics, noise_sigma=np.nan),
         lambda: Scene(statics, noise_sigma=np.inf),
+        lambda: Scene(statics, persons=((),)),  # a person once moved nothing
     ]:
         with pytest.raises(ValueError):
             make()
@@ -355,6 +362,7 @@ def test_scene_file_parse_errors(tmp_path):
         ("path 1 0 nan 0\n", ":1:"),
         ("carrier_hz nan\npath 1 0 1e-8 0\n", ":"),
         ("noise_sigma inf\npath 1 0 1e-8 0\n", ":"),
+        ("path 1 0 1e-8 0\nperson\nend\n", ":"),  # a person with no path
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)} "):
