@@ -345,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-count", help="train a counting network from a manifest")
     p.add_argument("--data", required=True, help='JSON {"regime": r, "items": [{"path","label"}]}')
     p.add_argument("--regime", choices=REGIMES, default=None)
-    p.add_argument("--net", choices=sorted(NETWORKS), default="cnn-lstm")
+    # the toy network takes 12 x 20 inputs, never a 200 x 360 count window
+    p.add_argument("--net", choices=("cnn-lstm", "fcbp"), default="cnn-lstm")
     p.add_argument("--lr", type=float, default=None, help="default: per-regime rate")
     p.add_argument("--iters", type=int, default=3000)
     p.add_argument("--batch", type=int, default=64)

@@ -13,8 +13,13 @@ s * stream_delay_step to the path delay, decorrelating the six streams.
 
 Each path is a constant a_k exp(-2 pi i f (tau_k(0) + s step_k)) per stream
 and subcarrier (180 exponentials) times, for a mover, a drift
-exp(-2 pi i f 2 v_k t / c) per frame and subcarrier (30 per frame), added
-FRAME_BLOCK frames at a time so that the response is the only full array.
+exp(i w_k f t) with w_k = -4 pi v_k / c.  Still paths are added to every
+frame one by one, in scene order.  The movers are then added together,
+FRAME_BLOCK frames at a time: the drift at frame lo + j is the drift at the
+slice's first frame lo (one exponential per subcarrier and mover) times a
+table of in-slice drifts exp(i w_k f j / rate) built once per call, and one
+batched product per subcarrier, (frames x movers) @ (movers x streams),
+sums the movers.  The response is the only full-size array.
 
 Subcarrier j (0-based, n_sub total) sits at
 
@@ -34,7 +39,7 @@ import numpy as np
 from .capture import CsiCapture
 
 C_LIGHT = 299_792_458.0
-FRAME_BLOCK = 1024
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -146,16 +151,22 @@ def simulate_capture(
     streams = np.arange(CsiCapture.n_tx * CsiCapture.n_rx, dtype=np.float64)
 
     h = np.zeros((n_frames, streams.size, freqs.size), dtype=np.complex128)
+    velocities, consts = [], []
     for path in chain(scene.static_paths, *scene.persons):
         tau = path.initial_delay + streams * path.stream_delay_step
         const = path.attenuation * np.exp(-2j * np.pi * tau[:, None] * freqs)
         if path.velocity == 0:
             h += const
-            continue
+        else:
+            velocities.append(path.velocity)
+            consts.append(const.T)
+    if velocities:
+        omega = -4.0 * np.pi * freqs[:, None] * np.array(velocities) / C_LIGHT
+        in_slice = np.exp(1j * omega[:, None, :] * t[:FRAME_BLOCK, None])
+        paths = np.stack(consts, axis=1)  # (subcarriers, movers, streams)
         for lo in range(0, n_frames, FRAME_BLOCK):
-            shift = 2.0 * path.velocity * t[lo : lo + FRAME_BLOCK] / C_LIGHT
-            drift = np.exp(-2j * np.pi * shift[:, None] * freqs)
-            h[lo : lo + FRAME_BLOCK] += drift[:, None, :] * const
+            drift = in_slice[:, : n_frames - lo] * np.exp(1j * omega * t[lo])[:, None, :]
+            h[lo : lo + FRAME_BLOCK] += np.matmul(drift, paths).transpose(1, 2, 0)
 
     if scene.noise_sigma > 0:
         rng = np.random.default_rng(seed)
@@ -241,7 +252,8 @@ def load_scene(path) -> Scene:
         person            # opens a person block of path lines
         end               # closes it
 
-    `path` lines outside person blocks are static paths.
+    `path` lines outside person blocks are static paths.  A statement with
+    more or fewer arguments than shown fails at its line.
     """
     statics: list[Path] = []
     persons: list[tuple] = []
@@ -253,11 +265,14 @@ def load_scene(path) -> Scene:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            tokens = text.split()
-            key = tokens[0]
+            key, *args = text.split()
             try:
+                if key in ("person", "end") and args:
+                    raise ValueError(f"{key} takes no arguments")
                 if key in params:
-                    params[key] = float(tokens[1])
+                    if len(args) != 1:
+                        raise ValueError(f"{key} takes one number")
+                    params[key] = float(args[0])
                 elif key == "person":
                     if current is not None:
                         raise ValueError("nested person block")
@@ -268,7 +283,7 @@ def load_scene(path) -> Scene:
                     persons.append(tuple(current))
                     current = None
                 elif key == "path":
-                    vals = [float(tok) for tok in tokens[1:]]
+                    vals = [float(tok) for tok in args]
                     if len(vals) not in (4, 5):
                         raise ValueError("path needs 4 or 5 numbers")
                     step = vals[4] if len(vals) == 5 else 0.0
@@ -276,7 +291,7 @@ def load_scene(path) -> Scene:
                     (statics if current is None else current).append(p)
                 else:
                     raise ValueError(f"unknown statement {key!r}")
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     try:
         if current is not None:

@@ -206,6 +206,15 @@ def test_simulate_rejects_a_non_finite_scene_number_at_its_line(capsys, tmp_path
     assert not (tmp_path / "n.csic").exists()
 
 
+def test_simulate_rejects_a_trailing_token_at_its_line(capsys, tmp_path):
+    # the 0.5 was once dropped and the capture simulated with sigma 0.01
+    scene_path = tmp_path / "extra.scene"
+    scene_path.write_text("path 1.0 0.0 1e-8 0.0\nnoise_sigma 0.01 0.5\n")
+    argv = ["simulate", "--scene", str(scene_path), "--duration", "0.2", "--out", str(tmp_path / "e.csic")]
+    assert_one_line_error(capsys, argv, f"{scene_path}:2: noise_sigma takes one number")
+    assert not (tmp_path / "e.csic").exists()
+
+
 def test_inject_refuses_a_non_finite_jitter(capsys, tmp_path):
     # it once wrote the input's bits unchanged and exited 0
     simulate(capsys, tmp_path, "w.csic", 1, 0.2, 0)
@@ -484,6 +493,17 @@ def test_eval_rejects_deeply_nested_checkpoint_header(capsys, tmp_path):
     ckpt.write_bytes(b"CSNN" + (1).to_bytes(2, "little") + len(blob).to_bytes(4, "little") + blob)
     argv = ["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "unread.json")]
     assert_one_line_error(capsys, argv, "nested too deeply")
+
+
+def test_train_count_refuses_the_toy_network(capsys, tmp_path):
+    # its 12 x 20 inputs can never take a 200 x 360 count window
+    argv = ["train-count", "--data", str(tmp_path / "unread.json"), "--net", "cnn-lstm-toy",
+            "--out", str(tmp_path / "n")]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "invalid choice: 'cnn-lstm-toy'" in capsys.readouterr().err
+    assert not (tmp_path / "n").exists()
 
 
 def test_train_count_rejects_bad_manifest(capsys, tmp_path):

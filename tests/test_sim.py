@@ -9,6 +9,7 @@ import pytest
 from csicount.capture import CsiCapture, split_streams
 from csicount.sim import (
     C_LIGHT,
+    FRAME_BLOCK,
     Path,
     PhaseDistortion,
     Scene,
@@ -159,10 +160,47 @@ def stepped_scene():
     )
 
 
+def fast_and_still_scene():
+    """A person with a still path between movers at 150-200 m/s, whose phases
+    reach about 1e5 rad over 2.5 s."""
+    return Scene(
+        static_paths=(Path(1.0 + 0.0j, 12e-9, 0.0, 3e-10),),
+        persons=(
+            (
+                Path(0.3 + 0.1j, 40e-9, 180.0, 2e-10),
+                Path(0.2 + 0.0j, 25e-9, 0.0, 1e-10),
+                Path(0.1 - 0.2j, 60e-9, -150.0, 0.0),
+            ),
+            (Path(0.15 + 0.05j, 50e-9, 200.0, 4e-10),),
+        ),
+        noise_sigma=0.01,
+    )
+
+
+def frames(n):
+    return (n + 0.5) / 1500.0
+
+
 @pytest.mark.parametrize(
     "scene, duration, seed",
-    [(make_count_scene(5), 2.0, 3), (stepped_scene(), 1.0, 8)],
-    ids=["five_persons", "stream_steps"],
+    [
+        (make_count_scene(5), 2.0, 3),
+        (stepped_scene(), 1.0, 8),
+        (stepped_scene(), frames(1), 1),
+        (stepped_scene(), frames(FRAME_BLOCK - 1), 2),
+        (stepped_scene(), frames(FRAME_BLOCK), 3),
+        (stepped_scene(), frames(FRAME_BLOCK + 1), 4),
+        (fast_and_still_scene(), 2.5, 5),
+    ],
+    ids=[
+        "five_persons",
+        "stream_steps",
+        "one_frame",
+        "one_frame_short_of_a_slice",
+        "one_slice",
+        "one_frame_past_a_slice",
+        "fast_and_still_paths",
+    ],
 )
 def test_simulation_is_within_one_float32_step_of_the_reference(scene, duration, seed):
     # one step at the entry's magnitude: a component near zero still carries
@@ -184,15 +222,15 @@ def test_static_scene_with_noise_is_bit_identical_to_the_reference():
 
 def test_simulation_transient_memory_is_bounded():
     scene = make_count_scene(5)
-    n_frames = 6096
-    response_bytes = n_frames * 6 * 30 * np.dtype(np.complex128).itemsize
-    tracemalloc.start()
-    try:
-        simulate_capture(scene, (n_frames + 0.5) / 1500.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * response_bytes
+    for n_frames in (6096, 4200):  # 4,200: a bench train room
+        response_bytes = n_frames * 6 * 30 * np.dtype(np.complex128).itemsize
+        tracemalloc.start()
+        try:
+            simulate_capture(scene, frames(n_frames))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * response_bytes, n_frames
 
 
 # ------------------------------------------------------------- determinism
@@ -363,6 +401,13 @@ def test_scene_file_parse_errors(tmp_path):
         ("carrier_hz nan\npath 1 0 1e-8 0\n", ":"),
         ("noise_sigma inf\npath 1 0 1e-8 0\n", ":"),
         ("path 1 0 1e-8 0\nperson\nend\n", ":"),  # a person with no path
+        # trailing tokens were once dropped without a word
+        ("noise_sigma 0.01 0.5\npath 1 0 1e-8 0\n", ":1:"),
+        ("carrier_hz 5e9 2\npath 1 0 1e-8 0\n", ":1:"),
+        ("path 1 0 1e-8 0\nspacing_hz 625e3 x\n", ":2:"),
+        ("noise_sigma\npath 1 0 1e-8 0\n", ":1:"),
+        ("path 1 0 1e-8 0\nperson extra\npath 1 0 2e-8 1\nend\n", ":2:"),
+        ("path 1 0 1e-8 0\nperson\npath 1 0 2e-8 1\nend now\n", ":4:"),
     ]:
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path) + where)} "):
