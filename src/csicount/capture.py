@@ -106,6 +106,15 @@ class CsiCapture:
         return self.values.shape[0]
 
 
+def _complex_streams(capture: CsiCapture) -> np.ndarray:
+    """The capture's values as a complex128 (n_frames, n_streams * n_sub)
+    matrix in stream-major column order."""
+    if capture.n_frames == 0:
+        raise CaptureError("cannot split an empty capture")
+    flat = (capture.n_frames, capture.n_streams * capture.n_sub)
+    return capture.values.astype(np.complex128).reshape(flat)
+
+
 def split_streams(capture: CsiCapture) -> tuple[np.ndarray, np.ndarray]:
     """Split a capture into amplitude and phase matrices.
 
@@ -113,11 +122,13 @@ def split_streams(capture: CsiCapture) -> tuple[np.ndarray, np.ndarray]:
     matrices of shape (n_frames, n_streams * n_sub) in stream-major column
     order: column s * n_sub + j holds stream s, subcarrier j.
     """
-    if capture.n_frames == 0:
-        raise CaptureError("cannot split an empty capture")
-    v = capture.values.astype(np.complex128)
-    flat = (capture.n_frames, capture.n_streams * capture.n_sub)
-    return np.abs(v).reshape(flat), np.angle(v).reshape(flat)
+    v = _complex_streams(capture)
+    return np.abs(v), np.angle(v)
+
+
+def stream_amplitudes(capture: CsiCapture) -> np.ndarray:
+    """split_streams' amplitude matrix, bit for bit, without the phase."""
+    return np.abs(_complex_streams(capture))
 
 
 def concat_captures(captures, label: str = "") -> CsiCapture:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capture import read_capture, split_streams, write_capture
+from .capture import read_capture, split_streams, stream_amplitudes, write_capture
 from .counting import (
     ACTIVITY_CUTOFF_HZ,
     ACTIVITY_LEVELS,
@@ -127,8 +127,8 @@ def _cmd_inject(args) -> int:
 
 def _cmd_preprocess(args) -> int:
     capture = read_capture(args.infile)
-    amp, phase = split_streams(capture)
     if args.mode == "counting":
+        amp, phase = split_streams(capture)
         out = np.hstack(
             [
                 weighted_moving_average(amp),
@@ -136,7 +136,7 @@ def _cmd_preprocess(args) -> int:
             ]
         )
     else:
-        filtered = butterworth_lowpass(amp, capture.rate_hz, args.cutoff)
+        filtered = butterworth_lowpass(stream_amplitudes(capture), capture.rate_hz, args.cutoff)
         out = pca_denoise(filtered, keep=args.keep)
     write_tensor(out, args.out)
     print(f"out={args.out}")

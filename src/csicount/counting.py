@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import hmm
-from .capture import CsiCapture, split_streams
+from .capture import CsiCapture, split_streams, stream_amplitudes
 from .hmm import ActivityLabel, DoorEvent, DoorEventDetector, classify_activity
 from .neural import N_CLASSES, Network, finetune_last_dense
 from .preprocess import (
@@ -143,9 +143,10 @@ class ConfusionMatrix:
 
 
 def _inputs(network: Network, windows) -> np.ndarray:
+    """The network's input batch for `windows`, in the network's dtype."""
     if network.input_kind == "summary":
-        return np.stack([w.column_mean for w in windows])
-    return np.stack([w.values for w in windows])
+        return np.stack([w.column_mean for w in windows], dtype=network.dtype)
+    return np.stack([w.values for w in windows], dtype=network.dtype)
 
 
 def _counts(network: Network, x, start: int = 0) -> np.ndarray:
@@ -163,6 +164,12 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
     mean batch loss of each pass over the data, and the parameter vector
     from the end of the best pass is restored before returning.  A
     non-finite layer output aborts with RuntimeError.
+
+    The loop computes in float32: the network is cast to float32 before
+    it, and back to float64, with zeroed gradients, after it, also when it
+    raises.  So the network is float64 at rest, as are checkpoints,
+    inference and the gradient checks.  Widening float32 is exact, so the
+    returned parameters are the float32 ones of the best pass.
     """
     windows = [w for w, _ in dataset.samples]
     labels = dataset.labels
@@ -171,28 +178,34 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
     losses = []
     best_loss = np.inf
     iteration = 0
-    while iteration < config.max_iterations:
-        order = rng.permutation(n)
-        epoch = []
-        for start in range(0, n, config.batch_size):
-            if iteration >= config.max_iterations:
-                break
-            sel = order[start : start + config.batch_size]
-            x = _inputs(network, [windows[i] for i in sel])
-            # overflow surfaces as the forward pass's non-finite output error
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    loss, _ = network.loss_and_gradients(x, labels[sel], training=True)
-                except FloatingPointError as exc:
-                    raise RuntimeError(f"training diverged at iteration {iteration}: {exc}") from exc
-                network.sgd_step(config.learning_rate)
-            losses.append(float(loss))
-            epoch.append(float(loss))
-            iteration += 1
-        mean_loss = float(np.mean(epoch))
-        if mean_loss < best_loss:
-            best_loss = mean_loss
-            best_params = network.get_param_vector()
+    network.cast(np.float32)
+    try:
+        while iteration < config.max_iterations:
+            order = rng.permutation(n)
+            epoch = []
+            for start in range(0, n, config.batch_size):
+                if iteration >= config.max_iterations:
+                    break
+                sel = order[start : start + config.batch_size]
+                x = _inputs(network, [windows[i] for i in sel])
+                # overflow surfaces as the forward pass's non-finite output error
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        loss, _ = network.loss_and_gradients(x, labels[sel], training=True)
+                    except FloatingPointError as exc:
+                        raise RuntimeError(
+                            f"training diverged at iteration {iteration}: {exc}"
+                        ) from exc
+                    network.sgd_step(config.learning_rate)
+                losses.append(float(loss))
+                epoch.append(float(loss))
+                iteration += 1
+            mean_loss = float(np.mean(epoch))
+            if mean_loss < best_loss:
+                best_loss = mean_loss
+                best_params = network.get_param_vector()
+    finally:
+        network.cast(np.float64)
     network.set_param_vector(best_params)  # the first pass always sets it
     return network, losses
 
@@ -465,8 +478,7 @@ def _stream_histories(amp, base: int, ends, rate_hz: float, pad: int, ring: np.n
 
 
 def activity_features_from_capture(capture: CsiCapture) -> np.ndarray:
-    amp, _ = split_streams(capture)
-    return activity_features(amp, capture.rate_hz)
+    return activity_features(stream_amplitudes(capture), capture.rate_hz)
 
 
 @dataclass(frozen=True)

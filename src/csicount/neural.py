@@ -1,7 +1,12 @@
 """From-scratch neural network engine: LSTM, conv, pool, dense, softmax.
 
-Everything runs in float64 with hand-derived backward passes, so gradients
-can be validated against central finite differences to tight tolerances.
+Parameters at rest are float64, and so are checkpoints, inference and
+every gradient check: the hand-derived backward passes are validated
+against central finite differences to tight tolerances.  Training computes
+in float32 (see counting.train), through the same layers: each allocates in
+its parameters' or its input's dtype, and Network.forward casts its input
+to the network's dtype, which Network.cast sets.
+
 Parameters use scaled-uniform fan-in initialization from a seeded
 generator; forward passes are deterministic given (parameters, input,
 seed).  Softmax cross-entropy is the only supported loss and its gradient
@@ -161,10 +166,10 @@ class Lstm(Layer):
         # the hoisted x W product; each step completes its pre-activations
         # in place and overwrites them with the gates [i, f, o, g]
         gates = (x.reshape(b * t_len, self.in_dim) @ self.W).reshape(b, t_len, 4 * n)
-        cells = np.empty((b, t_len, n))
-        hidden = np.empty((b, t_len, n))
-        h = np.zeros((b, n))
-        c = np.zeros((b, n))
+        cells = np.empty((b, t_len, n), gates.dtype)
+        hidden = np.empty_like(cells)
+        h = np.zeros((b, n), gates.dtype)
+        c = np.zeros_like(h)
         for t in range(t_len):
             z = gates[:, t]
             z += h @ self.U
@@ -183,9 +188,9 @@ class Lstm(Layer):
         x, gates, cells, hidden = self._cache
         b, t_len, n = dout.shape
         tanh_c = np.tanh(cells)
-        dz_all = np.empty((b, t_len, 4 * n))
-        dh_rec = np.zeros((b, n))
-        dc_rec = np.zeros((b, n))
+        dz_all = np.empty_like(gates)
+        dh_rec = np.zeros((b, n), gates.dtype)
+        dc_rec = np.zeros_like(dh_rec)
         u_t = self.U.T
         for t in range(t_len - 1, -1, -1):
             z = gates[:, t]
@@ -196,7 +201,7 @@ class Lstm(Layer):
             dc = dc_rec + dh * o * (1.0 - th * th)
             di = dc * g
             dg = dc * i
-            df = dc * cells[:, t - 1] if t > 0 else np.zeros((b, n))
+            df = dc * cells[:, t - 1] if t > 0 else np.zeros_like(dc)
             dc_rec = dc * f
             dz = dz_all[:, t]
             dz[:, :n] = di * i * (1.0 - i)
@@ -206,7 +211,7 @@ class Lstm(Layer):
             dh_rec = dz @ u_t
         dz_flat = dz_all.reshape(b * t_len, 4 * n)
         self.dW += x.reshape(b * t_len, self.in_dim).T @ dz_flat
-        h_prev = np.concatenate([np.zeros((b, 1, n)), hidden[:, :-1]], axis=1)
+        h_prev = np.concatenate([np.zeros_like(hidden[:, :1]), hidden[:, :-1]], axis=1)
         self.dU += h_prev.reshape(b * t_len, n).T @ dz_flat
         self.db += dz_flat.sum(axis=0)
         self._cache = None
@@ -234,7 +239,8 @@ class Dropout(Layer):
             self._cache = None
             return x
         keep = 1.0 - self.rate
-        self._cache = (self._rng.random(x.shape) < keep) / keep  # the scaled mask
+        # the scaled mask, drawn in float64 whatever x's dtype
+        self._cache = (self._rng.random(x.shape) < keep) * x.dtype.type(1.0 / keep)
         return x * self._cache
 
     def backward(self, dout, need_dx=True):
@@ -330,7 +336,7 @@ class Conv2d(Layer):
         rows = np.ascontiguousarray(tiles.transpose(0, 1, 2, 4, 5, 3)).reshape(
             b * ho * (wo // t), kh * wt * c
         )
-        band = np.zeros((kh, wt, c, t, f))
+        band = np.zeros((kh, wt, c, t, f), self.W.dtype)
         for j in range(t):
             band[:, j * s : j * s + kw, :, j] = self.W
         out = rows @ band.reshape(kh * wt * c, t * f)
@@ -357,7 +363,7 @@ class Conv2d(Layer):
         if not need_dx:
             return None
         dtiles = (dz_tiles @ band.reshape(kh * wt * c, t * f).T).reshape(b, ho, nt, kh, wt, c)
-        dx = np.zeros(x_shape)
+        dx = np.zeros(x_shape, self.W.dtype)
         for di in range(kh):
             dst = dx[:, di : di + s * ho : s]
             for j in range(nt):
@@ -422,12 +428,14 @@ class MaxPool2d(Layer):
         self._cache = None
         if not need_dx:
             return None
-        dx = np.empty(x_shape)
-        # the gradient's bit patterns times the 0/1 mask: an exact copy where
-        # the slice wins and +0.0 elsewhere, in one strided pass
-        bits = np.asarray(dout, dtype=np.float64).view(np.uint64)
+        dx = np.empty(x_shape, dout.dtype)
+        # the gradient's bit patterns, as unsigned integers of its width, times
+        # the 0/1 mask: an exact copy where the slice wins and +0.0 elsewhere,
+        # in one strided pass
+        uint = np.dtype(f"u{dout.itemsize}")
+        bits = dout.view(uint)
         for k, sl in enumerate(self._slices()):
-            np.multiply(bits, winner == k, out=dx[sl].view(np.uint64))
+            np.multiply(bits, winner == k, out=dx[sl].view(uint))
         return dx
 
 
@@ -574,6 +582,7 @@ class Network:
         self.layers = list(layers)
         self.input_kind = input_kind
         self.seed = seed
+        self.dtype = np.dtype(np.float64)  # every parameter's; see cast
         self.rng = np.random.default_rng(seed)
         for layer in self.layers:
             layer.initialize(self.rng)
@@ -592,7 +601,7 @@ class Network:
         layer's cache as soon as the layer returns.  A non-finite layer
         output raises FloatingPointError naming the layer.
         """
-        out = np.asarray(x, dtype=np.float64)
+        out = np.asarray(x, dtype=self.dtype)
         with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
             for i, layer in enumerate(self.layers[start:stop], start):
                 out = layer.forward(out, training)
@@ -623,6 +632,16 @@ class Network:
             raise ValueError("network has no dense layer to fine-tune")
         return dense[-1]
 
+    def cast(self, dtype) -> None:
+        """Convert every parameter to dtype in place; the gradients become
+        fresh zeros of that dtype.  Widening float32 to float64 is exact."""
+        for layer in self.layers:
+            for name in layer.shapes():
+                value = getattr(layer, name)
+                setattr(layer, name, value.astype(dtype))
+                setattr(layer, "d" + name, np.zeros(value.shape, dtype))
+        self.dtype = np.dtype(dtype)
+
     def zero_grads(self) -> None:
         for _, _, grad in self.params():
             grad[...] = 0.0
@@ -649,7 +668,7 @@ class Network:
         return np.concatenate([v.ravel() for _, v, _ in self.params()] or [np.zeros(0)])
 
     def set_param_vector(self, vector: np.ndarray) -> None:
-        vector = np.asarray(vector, dtype=np.float64)
+        vector = np.asarray(vector)  # each slice converts to its parameter's dtype
         off = 0
         for _, value, _ in self.params():
             value[...] = vector[off : off + value.size].reshape(value.shape)

@@ -222,17 +222,46 @@ def test_train_learns_separable_data():
     assert after > before
 
 
+def assert_float64_at_rest(net):
+    assert net.dtype == np.float64
+    for name, value, grad in net.params():
+        assert value.dtype == grad.dtype == np.float64, name
+        assert not grad.any(), name
+
+
 def test_train_divergence_raises():
     # an absurd learning rate blows the activations out of float range
     rng = np.random.default_rng(3)
     ds = Dataset([(summary_window(rng, scale=1e3), k % 5 + 1) for k in range(16)])
+    net = build_fcbp(seed=0)
+    config = TrainConfig(batch_size=16, learning_rate=1e10, max_iterations=40, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RuntimeError, match="training diverged at iteration"):
-            train(
-                build_fcbp(seed=0),
-                ds,
-                TrainConfig(batch_size=16, learning_rate=1e10, max_iterations=40, seed=0),
-            )
+            train(net, ds, config)
+    assert_float64_at_rest(net)
+
+
+def summary_dataset(n=20, seed=8):
+    rng = np.random.default_rng(seed)
+    return Dataset([(summary_window(rng), k % 5 + 1) for k in range(n)])
+
+
+@pytest.mark.parametrize(
+    "build, dataset", [(build_cnn_lstm_toy, toy_dataset), (build_fcbp, summary_dataset)]
+)
+def test_train_leaves_a_float64_network_that_saves_stably(tmp_path, build, dataset):
+    net = build(seed=7)
+    config = TrainConfig(batch_size=8, learning_rate=0.1, max_iterations=6)
+    trained, _ = train(net, dataset(), config)
+    assert trained is net
+    assert_float64_at_rest(net)
+    # every parameter is a widened float32 of the training loop
+    vector = net.get_param_vector()
+    assert np.array_equal(vector.astype(np.float32).astype(np.float64), vector)
+    path, again = tmp_path / "net.csnn", tmp_path / "again.csnn"
+    neural.save_network(net, path)
+    neural.save_network(neural.load_network(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_evaluate_row_sums_match_class_counts():
@@ -460,6 +489,12 @@ def test_activity_features_shape():
     feats = activity_features(rng.standard_normal((2048, 180)), 1500.0)
     assert feats.shape == (16, 20)
     assert np.isfinite(feats).all()
+
+
+def test_activity_features_from_capture_read_the_split_amplitude():
+    cap = random_capture(np.random.default_rng(6), 1100)
+    expected = activity_features(split_streams(cap)[0], cap.rate_hz)
+    assert np.array_equal(activity_features_from_capture(cap), expected)
 
 
 def test_activity_features_need_enough_history():

@@ -564,6 +564,72 @@ def test_training_is_deterministic():
     assert np.array_equal(run(), run())
 
 
+# each network, with the shape of one of its samples
+DTYPE_NETS = [
+    pytest.param(build_cnn_lstm, (200, 360), id="cnn_lstm"),
+    pytest.param(build_fcbp, (360,), id="fcbp"),
+    pytest.param(build_cnn_lstm_toy, (12, 20), id="cnn_lstm_toy"),
+]
+
+
+def float32_batch(sample_shape, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, *sample_shape)).astype(np.float32)
+    return x, 1 + rng.integers(0, 5, 2)
+
+
+@pytest.mark.parametrize("build, sample_shape", DTYPE_NETS)
+def test_a_float32_network_computes_every_array_in_float32(build, sample_shape):
+    net = build(seed=40)
+    net.cast(np.float32)
+    x, labels = float32_batch(sample_shape, seed=41)
+    net.zero_grads()
+    out = x
+    for layer in net.layers:
+        out = layer.forward(out, training=True)
+        assert out.dtype == np.float32, f"{layer.name} forward"
+    _, g = neural._cross_entropy(out, labels)
+    for layer in reversed(net.layers):
+        g = layer.backward(g)
+        assert g.dtype == np.float32, f"{layer.name} backward"
+    for name, value, grad in net.params():
+        assert value.dtype == grad.dtype == np.float32, name
+        assert grad.any(), name
+    assert net.forward(x.astype(np.float64)).dtype == np.float32
+
+
+@pytest.mark.parametrize("build, sample_shape", [DTYPE_NETS[0], DTYPE_NETS[2]])
+def test_float32_gradients_match_float64_within_1e_5(build, sample_shape):
+    net = build(seed=42)
+    x, labels = float32_batch(sample_shape, seed=43)
+    # float32-representable parameters, so that only the arithmetic differs
+    net.cast(np.float32)
+    net.cast(np.float64)
+    loss64, _ = net.loss_and_gradients(x, labels, training=False)
+    grads64 = [grad.copy() for _, _, grad in net.params()]
+    net.cast(np.float32)
+    loss32, _ = net.loss_and_gradients(x, labels, training=False)
+    assert abs(loss32 - loss64) <= 1e-5 * loss64
+    for (name, _, grad32), grad64 in zip(net.params(), grads64):
+        assert np.linalg.norm(grad32 - grad64) <= 1e-5 * np.linalg.norm(grad64), name
+
+
+def test_cast_converts_parameters_and_zeroes_gradients():
+    net = build_cnn_lstm_toy(seed=44)
+    x, labels = toy_batch(seed=45)
+    net.loss_and_gradients(x, labels, training=False)
+    before = net.get_param_vector()
+    net.cast(np.float32)
+    assert net.dtype == np.float32
+    assert np.array_equal(net.get_param_vector(), before.astype(np.float32))
+    net.cast(np.float64)
+    assert net.dtype == np.float64
+    assert np.array_equal(net.get_param_vector(), before.astype(np.float32))
+    for name, value, grad in net.params():
+        assert value.dtype == grad.dtype == np.float64, name
+        assert not grad.any(), name
+
+
 def test_quadratic_toy_convergence():
     # single linear dense + squared loss wired here: a convex problem
     # whose optimum is the generating parameters themselves
