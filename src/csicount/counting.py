@@ -71,8 +71,10 @@ ONLINE_BLOCK = 16
 
 
 def _integer(name: str, value) -> int:
-    """`value` through operator.index (so NumPy integers pass); else ValueError."""
+    """`value` through operator.index (so NumPy integers pass, bools do not); else ValueError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -177,14 +179,13 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     losses = []
     best_loss = np.inf
-    iteration = 0
     network.cast(np.float32)
     try:
-        while iteration < config.max_iterations:
+        while len(losses) < config.max_iterations:
             order = rng.permutation(n)
-            epoch = []
+            first = len(losses)
             for start in range(0, n, config.batch_size):
-                if iteration >= config.max_iterations:
+                if len(losses) >= config.max_iterations:
                     break
                 sel = order[start : start + config.batch_size]
                 x = _inputs(network, [windows[i] for i in sel])
@@ -194,19 +195,17 @@ def train(network: Network, dataset: Dataset, config: TrainConfig):
                         loss, _ = network.loss_and_gradients(x, labels[sel], training=True)
                     except FloatingPointError as exc:
                         raise RuntimeError(
-                            f"training diverged at iteration {iteration}: {exc}"
+                            f"training diverged at iteration {len(losses)}: {exc}"
                         ) from exc
                     network.sgd_step(config.learning_rate)
                 losses.append(float(loss))
-                epoch.append(float(loss))
-                iteration += 1
-            mean_loss = float(np.mean(epoch))
+            mean_loss = float(np.mean(losses[first:]))
             if mean_loss < best_loss:
                 best_loss = mean_loss
                 best_params = network.get_param_vector()
+        network.set_param_vector(best_params)  # the first pass always sets it
     finally:
         network.cast(np.float64)
-    network.set_param_vector(best_params)  # the first pass always sets it
     return network, losses
 
 

@@ -58,7 +58,7 @@ def butterworth_lowpass(series, rate_hz: float, cutoff_hz: float):
     """
     x = np.asarray(series, dtype=np.float64)
     if not 0 < cutoff_hz < rate_hz / 2:
-        raise ValueError("cutoff must lie strictly between 0 and the Nyquist rate")
+        raise ValueError(f"cutoff {cutoff_hz} Hz must lie strictly between 0 and Nyquist, {rate_hz / 2} Hz")
     shape = x.shape
     x = x.reshape(shape[0], -1)
     n = x.shape[0]

@@ -23,6 +23,7 @@ from csicount.capture import (
     split_streams,
     write_capture,
 )
+from csicount.cli import main
 from csicount.counting import (
     CountSession,
     Dataset,
@@ -50,7 +51,6 @@ from csicount.neural import (
     build_cnn_lstm,
     build_cnn_lstm_toy,
     build_fcbp,
-    finite_difference_check,
     save_network,
 )
 from csicount.preprocess import sanitize_phase
@@ -281,20 +281,17 @@ def test_hmm_inference_matches_enumeration_at_scale(monkeypatch):
 # ---------------------------------------------------------------- gradients
 
 
-def test_gradients_match_finite_differences():
+def test_gradients_match_finite_differences(capsys):
     # every parameter of the small network, and the 25 highest-signal
     # parameters per array of the full-size one, agree with central
-    # differences at 1e-4 relative error
+    # differences at 1e-4 relative error; the CLI's default seed 4 and its
+    # inputs from seed 5 sit away from rectifier kinks, where a central
+    # difference of an O(1) loss is meaningful
     started = time.monotonic()
-    toy = build_cnn_lstm_toy(seed=4)
-    x_toy = np.random.default_rng(5).standard_normal((2, 12, 20)) * 3.0
-    assert finite_difference_check(toy, x_toy, [1, 2], eps=1e-5) < 1e-4
-
-    # evaluation point chosen away from rectifier kinks, where a central
-    # difference of an O(1) loss is meaningful (same point the CLI uses)
-    full = build_cnn_lstm(seed=4)
-    x_full = np.random.default_rng(5).standard_normal((1, 200, 360))
-    assert finite_difference_check(full, x_full, [1], eps=1e-6, max_per_array=25) < 1e-4
+    for net in ("cnn-lstm-toy", "cnn-lstm"):
+        assert main(["gradcheck", "--net", net]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("max_rel_err=")[1]) < 1e-4, out
     assert time.monotonic() - started < 300.0
 
 

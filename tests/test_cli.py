@@ -15,8 +15,9 @@ import pytest
 import csicount
 from csicount import hmm
 from csicount.cli import main
-from csicount.capture import read_capture
+from csicount.capture import CsiCapture, read_capture, write_capture
 from csicount.counting import activity_features_from_capture
+from csicount.hmm import GaussianHmm, save_hmm
 from csicount.neural import Dense, Network, Softmax, build_fcbp, save_network
 from csicount.tensorfile import read_tensor, write_tensor
 
@@ -149,6 +150,8 @@ def test_pipeline_runs_without_scipy(tmp_path):
          "--out", "trained.csnn"],
         ["eval", "--ckpt", "trained.csnn", "--data", "count.json"],
         ["gradcheck"],
+        ["simulate", "--duration", "2.25", "--out", "tail.csic"],
+        ["online", "--ckpt", "net.csnn", "--hmm", "models", "--capture", "tail.csic"],
     ):
         proc = subprocess.run(
             [sys.executable, "-c", child, *argv],
@@ -158,6 +161,9 @@ def test_pipeline_runs_without_scipy(tmp_path):
             env=env,
         )
         assert proc.returncode == 0, (argv[0], proc.stderr)
+    # the last run's 3,375 frames: one full block of 16 windows and a
+    # 175-frame partial window, which is not counted
+    assert sum(line.startswith("window=") for line in proc.stdout.splitlines()) == 16
 
 
 # ----------------------------------------------------------------- simulate
@@ -381,7 +387,8 @@ def test_classify_rejects_unknown_model_label(capsys, tmp_path):
 # --------------------------------------------------------- counting network
 
 
-def test_train_count_eval_online(capsys, tmp_path):
+@pytest.mark.parametrize("net, iters", [("fcbp", "30"), ("cnn-lstm", "2")])
+def test_train_count_eval_online(capsys, tmp_path, net, iters):
     one, _ = simulate(capsys, tmp_path, "one.csic", persons=1, duration=0.4, seed=1)
     two, _ = simulate(capsys, tmp_path, "two.csic", persons=2, duration=0.4, seed=2)
     manifest = tmp_path / "count.json"
@@ -403,9 +410,9 @@ def test_train_count_eval_online(capsys, tmp_path):
         "--data",
         str(manifest),
         "--net",
-        "fcbp",
+        net,
         "--iters",
-        "30",
+        iters,
         "--batch",
         "4",
         "--out",
@@ -414,7 +421,7 @@ def test_train_count_eval_online(capsys, tmp_path):
     assert code == 0
     assert kv["regime"] == "fixed"
     assert kv["learning_rate"] == "0.2"  # the fixed-regime default
-    assert kv["iterations"] == "30"
+    assert kv["iterations"] == iters
     assert np.isfinite(float(kv["final_loss"]))
     assert float(kv["best_loss"]) <= float(kv["final_loss"]) + 1e-12
 
@@ -592,10 +599,87 @@ def test_train_hmm_rejects_bad_manifest(capsys, tmp_path):
         assert not out.exists()
 
 
+# ----------------------------------------------------------------- refusals
+
+
+@pytest.fixture(scope="module")
+def refused_inputs(tmp_path_factory):
+    """A directory of inputs that each command below must refuse."""
+    root = tmp_path_factory.mktemp("refused")
+    rng = np.random.default_rng(0)
+
+    def capture(name, n_frames, n_sub=30, rate_hz=1500.0):
+        shape = (n_frames, 6, n_sub)
+        values = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+        cap = CsiCapture(values, np.arange(n_frames) / rate_hz, rate_hz, n_sub=n_sub)
+        write_capture(cap, root / name)
+
+    capture("walk.csic", 1100)
+    capture("frame.csic", 1)
+    capture("subcarrier.csic", 10, n_sub=1)
+    capture("slow.csic", 1100, rate_hz=300.0)  # Nyquist 150 Hz, below the 200 Hz cutoff
+    raw = bytearray((root / "walk.csic").read_bytes())
+    raw[25:33] = struct.pack("<d", np.nan)  # the first timestamp, after the 25-byte header
+    (root / "nan-time.csic").write_bytes(bytes(raw))
+    # 0 x 2 antennas, 30 subcarriers, 1500 Hz, 3 frames of one timestamp each
+    header = struct.pack("<4sHHHHfQB", b"CSIC", 1, 0, 2, 30, 1500.0, 3, 0)
+    (root / "no-tx.csic").write_bytes(header + np.arange(3.0).tobytes())
+    (root / "walk.json").write_text(json.dumps({"label": "W", "captures": ["walk.csic"]}))
+    (root / "list.json").write_text(json.dumps(["walk.csic"]))
+    for name in ("models", "nan-models", "empty"):
+        (root / name).mkdir()
+    model = GaussianHmm([1.0], [[1.0]], np.zeros((1, 20)), np.ones((1, 20)), label="W")
+    save_hmm(model, root / "models" / "walking.hmm")
+    raw = (root / "models" / "walking.hmm").read_bytes()
+    (root / "nan-models" / "walking.hmm").write_bytes(raw[:-8] + struct.pack("<d", np.nan))
+    save_network(build_fcbp(seed=0), root / "net.csnn")
+    write_tensor(np.zeros(5), root / "row.csit")
+    write_tensor(np.zeros((5, 0)), root / "no-columns.csit")
+    for name, text in (
+        ("nested", "path 1 0 1e-8 0\nperson\nperson\n"),
+        ("stray", "path 1 0 1e-8 0\nend\n"),
+        ("unterminated", "path 1 0 1e-8 0\nperson\npath 0.3 0.1 2e-8 0.5\n"),
+    ):
+        (root / f"{name}.scene").write_text(text)
+    return root
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["train-hmm", "--data", "walk.json", "--states", "0"], "n_states must be >= 1"),
+        (["train-hmm", "--data", "list.json"], "list.json: manifest must be a JSON object"),
+        (["classify", "--models", "empty", "--capture", "walk.csic"], "no .hmm model files"),
+        (["classify", "--models", "nan-models", "--capture", "walk.csic"], "non-finite"),
+        (["features", "--in", "row.csit"], "row.csit: expected a 2-D tensor"),
+        (["features", "--in", "no-columns.csit"], "need at least one component"),
+        (["preprocess", "--mode", "activity", "--in", "frame.csic"], "at least two rows"),
+        (["preprocess", "--mode", "counting", "--in", "subcarrier.csic"], "two subcarriers"),
+        (["simulate", "--scene", "nested.scene", "--duration", "1"], "nested.scene:3: nested person"),
+        (["simulate", "--scene", "stray.scene", "--duration", "1"], "stray.scene:2: 'end' outside"),
+        (["simulate", "--scene", "unterminated.scene", "--duration", "1"], "unterminated person"),
+        (["preprocess", "--mode", "counting", "--in", "no-tx.csic"], "antenna and subcarrier"),
+        (["preprocess", "--mode", "counting", "--in", "nan-time.csic"], "non-finite timestamps"),
+        (
+            ["online", "--ckpt", "net.csnn", "--hmm", "models", "--capture", "slow.csic"],
+            "cutoff 200.0 Hz must lie strictly between 0 and Nyquist, 150.0 Hz",
+        ),
+    ],
+)
+def test_refusals_print_one_error_line(capsys, monkeypatch, refused_inputs, argv, needle):
+    monkeypatch.chdir(refused_inputs)
+    if argv[0] not in ("classify", "online"):
+        argv = [*argv, "--out", "out"]
+    assert_one_line_error(capsys, argv, needle)
+    assert not Path("out").exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
-@pytest.mark.parametrize("net", ["cnn-lstm-toy", "fcbp"])
+# both CNN-LSTM sizes are checked through the CLI in
+# test_acceptance::test_gradients_match_finite_differences
+@pytest.mark.parametrize("net", ["fcbp"])
 def test_gradcheck_toy_network(capsys, net):
     code, kv, _ = run_cli(capsys, "gradcheck", "--net", net)
     assert code == 0

@@ -111,7 +111,7 @@ def test_dataset_rejects_empty_and_non_integer_labels():
     with pytest.raises(ValueError, match="dataset is empty"):
         Dataset([])
     win = toy_window(np.zeros((12, 20)))
-    for label in (2.5, 5.9, "3"):  # not truncated to 2, 5 and 3
+    for label in (2.5, 5.9, "3", True):  # not truncated to 2, 5 and 3, nor True taken as 1
         with pytest.raises(ValueError, match="count label must be an integer"):
             Dataset([(win, label)])
     assert Dataset([(win, np.int64(3))]).labels.tolist() == [3]
@@ -146,7 +146,13 @@ def test_train_config_validation():
         TrainConfig(max_iterations=0)
     # a fractional size once failed later in range(); a fractional count of
     # iterations ran the next integer, an infinite one never returned
-    for bad in ({"batch_size": 2.5}, {"max_iterations": 2.5}, {"max_iterations": np.inf}):
+    for bad in (
+        {"batch_size": 2.5},
+        {"max_iterations": 2.5},
+        {"max_iterations": np.inf},
+        {"batch_size": True},
+        {"max_iterations": True},
+    ):
         with pytest.raises(ValueError, match="integer"):
             TrainConfig(**bad)
     config = TrainConfig(batch_size=np.int64(64), max_iterations=np.int32(3))
@@ -159,8 +165,9 @@ def test_evaluate_refuses_nonpositive_batch_size():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="batch_size"):
             evaluate(build_fcbp(seed=1), ds, batch_size=bad)
-    with pytest.raises(ValueError, match="integer"):
-        evaluate(build_fcbp(seed=1), ds, batch_size=2.5)
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            evaluate(build_fcbp(seed=1), ds, batch_size=bad)
 
 
 def test_confusion_matrix_accuracy():
@@ -325,7 +332,7 @@ def test_session_validation():
     with pytest.raises(TypeError):
         CountSession(net, event_log=[])  # every session starts with an empty log
     # 2.5 once counted to 3.5 on an enter while the fine-tune trained toward 3
-    for bad in (2.5, "2"):
+    for bad in (2.5, "2", True):
         with pytest.raises(ValueError, match="integer"):
             CountSession(net, current_count=bad)
     # models that cannot score the session's features once failed at its
@@ -913,6 +920,18 @@ def test_push_in_any_chunking_is_one_session(activity_models, walk_door_capture,
         assert got_actions == actions, chunk_len
         assert len(got_probs) == len(probs)
         assert max(np.abs(p - q).max() for p, q in zip(got_probs, probs)) <= 1e-9, chunk_len
+
+
+def test_an_empty_chunk_fixes_no_rate_or_geometry():
+    # a zero-frame chunk counts nothing, and the session's first frames may
+    # still come at another rate
+    cap = random_capture(np.random.default_rng(3), WINDOW_LEN)
+    session = CountSession(build_fcbp(seed=0))
+    assert session.push(frames(cap, 0, 0, rate_hz=1000.0)) == []
+    assert session.frames_seen == 0
+    steps = session.push(cap)
+    assert [step.window_index for step in steps] == [0]
+    assert session.frames_seen == WINDOW_LEN
 
 
 def test_a_failed_push_closes_the_session(monkeypatch):
